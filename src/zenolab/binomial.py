@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linalg import as_matrix, trace_norm
+from .linalg import as_matrix, matrix_power, trace_norm
 
 __all__ = [
     "MatrixPolynomial",
@@ -259,7 +259,7 @@ def binomial_product(m, l_n, n: int) -> np.ndarray:
     l_n = as_matrix(l_n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.linalg.matrix_power(m + l_n / n, n)
+    return matrix_power(m + l_n / n, n)
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def workhorse_limit_check(m, l, p, k: int, n_grid, x) -> WorkhorseResult:
         target = p @ x
     else:
         plp = p @ l @ p
-        target = np.linalg.matrix_power(plp, k) @ x / factorial(k)
+        target = matrix_power(plp, k) @ x / factorial(k)
     records = []
     for n in n_grid:
         if n < k:

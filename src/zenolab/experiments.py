@@ -30,7 +30,7 @@ from .channels import (
     vacuum_projection_superop,
 )
 from .fock import annihilation, coherent_vector, number_operator
-from .linalg import devectorize, matrix_exp, trace_norm, vectorize
+from .linalg import devectorize, matrix_exp, matrix_power, trace_norm, vectorize
 from .sampling import (
     random_density_matrix,
     random_gapped_channel,
@@ -436,11 +436,11 @@ def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
     def task_for(n):
         def task():
             step = m.matrix @ matrix_exp((cfg.t / n) * l.matrix)
-            power = np.linalg.matrix_power(step, n)
+            diff = matrix_power(step, n) - eff.matrix
             out = []
             for state_id, rho in states:
                 started = time.perf_counter()
-                err = trace_norm(devectorize((power - eff.matrix) @ vectorize(rho)))
+                err = trace_norm(devectorize(diff @ vectorize(rho)))
                 out.append((float(n), state_id, err, time.perf_counter() - started))
             return out
         return task
@@ -462,11 +462,11 @@ def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
 
     def task_for(gamma):
         def task():
-            total = matrix_exp(cfg.t * (gamma * k.matrix + l.matrix))
+            diff = matrix_exp(cfg.t * (gamma * k.matrix + l.matrix)) - eff.matrix
             out = []
             for state_id, rho in states:
                 started = time.perf_counter()
-                err = trace_norm(devectorize((total - eff.matrix) @ vectorize(rho)))
+                err = trace_norm(devectorize(diff @ vectorize(rho)))
                 out.append((float(gamma), state_id, err, time.perf_counter() - started))
             return out
         return task

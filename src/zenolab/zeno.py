@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import Superoperator, apply, positive_part_decomposition
 from .fock import vacuum_state
-from .linalg import as_matrix, devectorize, matrix_exp, trace_norm, vectorize
+from .linalg import as_matrix, devectorize, matrix_exp, matrix_power, trace_norm, vectorize
 
 __all__ = [
     "ConvergenceRecord",
@@ -127,10 +127,11 @@ class DampingConfig:
 
     def validate(self):
         for s in (0.1, 1.0, 10.0):
-            _check_contractive(
-                matrix_exp(s * self.k.matrix), self.test_states, f"exp({s} K)"
-            )
-        _check_projection_compat(matrix_exp(self.k.matrix), self.p.matrix, "exp(K)")
+            exp_sk = matrix_exp(s * self.k.matrix)
+            _check_contractive(exp_sk, self.test_states, f"exp({s} K)")
+            if s == 1.0:
+                exp_k = exp_sk  # 1.0 * K == K, so this is exactly exp(K)
+        _check_projection_compat(exp_k, self.p.matrix, "exp(K)")
 
 
 def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
@@ -138,7 +139,7 @@ def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     step = cfg.m.matrix @ matrix_exp((cfg.t / n) * cfg.l.matrix)
-    return devectorize(np.linalg.matrix_power(step, n) @ vectorize(x))
+    return devectorize(matrix_power(step, n) @ vectorize(x))
 
 
 def zeno_product_iterated(cfg: ZenoConfig, n: int, x) -> np.ndarray:
