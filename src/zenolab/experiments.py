@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,15 @@ from .channels import (
     vacuum_projection_superop,
 )
 from .fock import annihilation, coherent_vector, number_operator
-from .linalg import devectorize, matrix_exp, matrix_power, trace_norm, vectorize
+from .linalg import (
+    devectorize,
+    herm_devectorize,
+    herm_vectorize,
+    matrix_exp,
+    matrix_power,
+    trace_norm,
+    vectorize,
+)
 from .sampling import (
     random_density_matrix,
     random_gapped_channel,
@@ -77,6 +86,8 @@ CSV_HEADER = (
 )
 
 KINDS = ("mixing", "zeno", "damping", "binomial", "simplex")
+# Kinds whose grid points are rounded to integer n.
+_ROUNDED_KINDS = ("mixing", "zeno", "binomial", "simplex")
 
 # Philox stream indices; states get 1000 + index.
 _STREAM_CHANNEL = 1
@@ -149,9 +160,12 @@ def _get(parser, section, key, cast, default=None, required=False):
         return default
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -229,7 +243,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("tolerances.tail_mass", "must be positive")
     output_path = _get(parser, "output", "path", str, default=None)
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind,
         experiment_id=exp_id,
         seed=seed,
@@ -252,6 +266,29 @@ def parse_config_text(text: str) -> ExperimentConfig:
         tail_budget=tail_budget,
         output_path=output_path,
     )
+    _check_grid(cfg)
+    return cfg
+
+
+def _check_grid(cfg: ExperimentConfig) -> None:
+    """The grid stays finite and, where it is rounded to integers, has no repeats."""
+    try:
+        grid = cfg.grid()
+    except OverflowError:  # float ** int raises where float * float gives inf
+        grid = [math.inf]
+    if not math.isfinite(grid[-1]):
+        raise ConfigError(
+            "grid.count",
+            f"start * factor^(count-1) = {cfg.grid_start} * {cfg.grid_factor}^{cfg.grid_count - 1} "
+            "overflows float64",
+        )
+    if cfg.kind in _ROUNDED_KINDS:
+        rounded = [int(round(g)) for g in grid]
+        if len(set(rounded)) < len(rounded):
+            raise ConfigError(
+                "grid.factor",
+                f"the {cfg.kind} grid is rounded to integers, which repeats points: {rounded}",
+            )
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -424,23 +461,31 @@ def _run_mixing(cfg: ExperimentConfig, threads: int) -> list:
     ]
 
 
+def _hermitian_states(states) -> list:
+    return [(state_id, herm_vectorize(rho)) for state_id, rho in states]
+
+
 def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
+    # Every map here preserves Hermiticity, so the sweep runs on the real
+    # Hermitian-basis matrices (see zenolab.linalg).
     m, p, dim = _build_mixing_pair(cfg)
     l = _build_generator(cfg, dim)
     states = build_states(cfg, dim)
     grid = [int(round(n)) for n in cfg.grid()]
     zcfg = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=grid, test_states=states)
     zcfg.validate()
+    m, l, p = zcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
+    coords = _hermitian_states(states)
 
     def task_for(n):
         def task():
-            step = m.matrix @ matrix_exp((cfg.t / n) * l.matrix)
-            diff = matrix_power(step, n) - eff.matrix
+            step = m @ matrix_exp((cfg.t / n) * l)
+            diff = matrix_power(step, n) - eff
             out = []
-            for state_id, rho in states:
+            for state_id, v in coords:
                 started = time.perf_counter()
-                err = trace_norm(devectorize(diff @ vectorize(rho)))
+                err = trace_norm(herm_devectorize(diff @ v))
                 out.append((float(n), state_id, err, time.perf_counter() - started))
             return out
         return task
@@ -450,6 +495,7 @@ def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
 
 
 def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
+    # Real Hermitian-basis matrices throughout, as in _run_zeno.
     d = cfg.dimension
     k = attenuator_generator(d)
     p = vacuum_projection_superop(d)
@@ -458,15 +504,17 @@ def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
     grid = cfg.grid()
     dcfg = DampingConfig(k=k, l=l, p=p, t=cfg.t, gamma_grid=grid, test_states=states)
     dcfg.validate()
+    k, l, p = dcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
+    coords = _hermitian_states(states)
 
     def task_for(gamma):
         def task():
-            diff = matrix_exp(cfg.t * (gamma * k.matrix + l.matrix)) - eff.matrix
+            diff = matrix_exp(cfg.t * (gamma * k + l)) - eff
             out = []
-            for state_id, rho in states:
+            for state_id, v in coords:
                 started = time.perf_counter()
-                err = trace_norm(devectorize(diff @ vectorize(rho)))
+                err = trace_norm(herm_devectorize(diff @ v))
                 out.append((float(gamma), state_id, err, time.perf_counter() - started))
             return out
         return task

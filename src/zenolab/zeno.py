@@ -3,18 +3,37 @@
 The engine computes (M exp(tL/n))^n and exp(t(gamma K + L)) on the
 superoperator level, compares them against the effective dynamics
 exp(t PLP) P, and quantifies convergence rates by log-log least squares.
+
+The products and errors here (``zeno_product``, ``damped_evolution``,
+``zeno_error``, ``damping_error``) use the complex column-stacking
+matrices and accept any linear maps; they are also the dense reference the
+tests hold the sweeps to.  The checks of ``ZenoConfig.validate`` and
+``DampingConfig.validate``, and the sweeps of :mod:`zenolab.experiments`,
+run on the real Hermitian-basis forms of ``ZenoConfig.hermitian`` and
+``DampingConfig.hermitian``, which exist for Hermiticity-preserving maps.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import Superoperator, apply, positive_part_decomposition
 from .fock import vacuum_state
-from .linalg import as_matrix, devectorize, matrix_exp, matrix_power, trace_norm, vectorize
+from .linalg import (
+    as_matrix,
+    devectorize,
+    herm_devectorize,
+    herm_vectorize,
+    matrix_exp,
+    matrix_power,
+    to_hermitian_basis,
+    trace_norm,
+    vectorize,
+)
 
 __all__ = [
     "ConvergenceRecord",
@@ -67,14 +86,26 @@ def _check_projection_compat(m_mat, p_mat, what: str):
 
 
 def _check_contractive(mat, states, what: str, slack: float = 1e-8):
+    """``mat`` is in the Hermitian basis; ``states`` are Hermitian matrices."""
     for state_id, x in states:
         before = trace_norm(x)
-        after = trace_norm(devectorize(mat @ vectorize(x)))
+        after = trace_norm(herm_devectorize(mat @ herm_vectorize(x)))
         if after > before + slack:
             raise ValueError(
                 f"{what} is not trace-norm contractive on state {state_id!r}: "
                 f"{after:.6e} > {before:.6e}"
             )
+
+
+def _hermitian_maps(**maps) -> tuple:
+    """The given superoperators' real Hermitian-basis matrices, in order."""
+    out = []
+    for name, sup in maps.items():
+        try:
+            out.append(to_hermitian_basis(sup.matrix))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -98,10 +129,25 @@ class ZenoConfig:
         states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
         object.__setattr__(self, "test_states", states)
 
+    @cached_property
+    def hermitian(self) -> tuple:
+        """``(M, L, P)`` as real matrices in the Hermitian operator basis.
+
+        Converted once per config by :func:`~zenolab.linalg.to_hermitian_basis`;
+        a map that is not Hermiticity-preserving raises ValueError naming it.
+        """
+        return _hermitian_maps(M=self.m, L=self.l, P=self.p)
+
     def validate(self):
-        """Contractivity spot-checks and projection compatibility."""
-        _check_contractive(self.m.matrix, self.test_states, "M")
-        _check_projection_compat(self.m.matrix, self.p.matrix, "M")
+        """Contractivity spot-checks and projection compatibility.
+
+        The checks run on :attr:`hermitian`, so M, L and P must preserve
+        Hermiticity and the test states must be Hermitian, as every channel,
+        generator and density matrix is; otherwise ValueError.
+        """
+        m, _, p = self.hermitian
+        _check_contractive(m, self.test_states, "M")
+        _check_projection_compat(m, p, "M")
 
 
 @dataclass(frozen=True)
@@ -125,13 +171,28 @@ class DampingConfig:
         states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
         object.__setattr__(self, "test_states", states)
 
+    @cached_property
+    def hermitian(self) -> tuple:
+        """``(K, L, P)`` as real matrices in the Hermitian operator basis.
+
+        Converted once per config by :func:`~zenolab.linalg.to_hermitian_basis`;
+        a map that is not Hermiticity-preserving raises ValueError naming it.
+        """
+        return _hermitian_maps(K=self.k, L=self.l, P=self.p)
+
     def validate(self):
+        """Contractivity of exp(sK) and projection compatibility of exp(K).
+
+        Runs on :attr:`hermitian`, with the requirements of
+        :meth:`ZenoConfig.validate`.
+        """
+        k, _, p = self.hermitian
         for s in (0.1, 1.0, 10.0):
-            exp_sk = matrix_exp(s * self.k.matrix)
+            exp_sk = matrix_exp(s * k)
             _check_contractive(exp_sk, self.test_states, f"exp({s} K)")
             if s == 1.0:
                 exp_k = exp_sk  # 1.0 * K == K, so this is exactly exp(K)
-        _check_projection_compat(exp_k, self.p.matrix, "exp(K)")
+        _check_projection_compat(exp_k, p, "exp(K)")
 
 
 def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
@@ -153,10 +214,16 @@ def zeno_product_iterated(cfg: ZenoConfig, n: int, x) -> np.ndarray:
     return devectorize(v)
 
 
-def effective_dynamics(p: Superoperator, l: Superoperator, t: float) -> Superoperator:
-    """exp(t P L P) P, the limit dynamics on the range of P."""
-    plp = p.matrix @ l.matrix @ p.matrix
-    return Superoperator(matrix=matrix_exp(t * plp) @ p.matrix, label="effective")
+def effective_dynamics(p, l, t: float):
+    """exp(t P L P) P, the limit dynamics on the range of P.
+
+    Given Superoperators it returns one.  Given the plain matrices of P and L
+    in one basis, such as the real forms of :attr:`ZenoConfig.hermitian`, it
+    returns the matrix in that basis.
+    """
+    if isinstance(p, Superoperator):
+        return Superoperator(matrix=effective_dynamics(p.matrix, l.matrix, t), label="effective")
+    return matrix_exp(t * (p @ l @ p)) @ p
 
 
 def zeno_error(cfg: ZenoConfig, n: int, rho, state_id: str = "", effective=None) -> ConvergenceRecord:

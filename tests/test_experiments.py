@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from zenolab import experiments
+from zenolab.channels import Superoperator, attenuator_generator, vacuum_projection_superop
 from zenolab.experiments import (
     CSV_HEADER,
     ConfigError,
     InvariantViolation,
     PRESETS,
+    _build_generator,
+    _build_mixing_pair,
     build_states,
     emit_plot_script,
     list_presets,
@@ -15,6 +19,8 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
+from zenolab.sampling import random_operator, stream
+from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, zeno_error
 
 MINI_ZENO = """
 [experiment]
@@ -77,6 +83,35 @@ def test_parse_rejects_bad_grid_factor():
     with pytest.raises(ConfigError) as err:
         parse_config_text(bad)
     assert err.value.field == "grid.factor"
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("start = 8", "start = inf", "grid.start"),
+        ("factor = 2", "factor = inf", "grid.factor"),
+        ("dimension = 10", "dimension = 10\nt = nan", "experiment.t"),
+        ("eta_re = 0.5", "eta_re = nan", "channel.eta_re"),
+        ("quadrature", "quadrature\nscale = -inf", "generator.scale"),
+        ("factor = 2", "factor = 1e200", "grid.count"),
+    ],
+)
+def test_parse_rejects_non_finite_values(old, new, field):
+    for kind in ("zeno", "damping"):
+        text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == field
+
+
+def test_parse_rejects_grid_that_rounds_to_repeats():
+    text = MINI_ZENO.replace("start = 8", "start = 1").replace("factor = 2", "factor = 1.01")
+    for kind in ("mixing", "zeno", "binomial", "simplex"):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text.replace("kind = zeno", f"kind = {kind}"))
+        assert err.value.field == "grid.factor"
+    # damping keeps gamma as a float, so the same grid stays distinct
+    assert len(set(parse_config_text(text.replace("kind = zeno", "kind = damping")).grid())) == 5
 
 
 def test_parse_rejects_unknown_kind():
@@ -240,6 +275,65 @@ def test_run_threads_match_serial():
             b.error,
             b.bound,
         )
+
+
+# Hermiticity-preserving maps of each kind the real-basis runners meet, at d = 10.
+AGREEMENT_CASES = {
+    "zeno-complex-eta": MINI_ZENO.replace("eta_re = 0.5", "eta_re = 0.5\neta_im = 0.3"),
+    "zeno-dephasing": MINI_ZENO.replace("type = hamiltonian", "type = dephasing\nrate = 0.2"),
+    "damping-random-hamiltonian": MINI_ZENO.replace("kind = zeno", "kind = damping").replace(
+        "quadrature", "random\nscale = 0.4"
+    ),
+    "damping-dephasing": MINI_ZENO.replace("kind = zeno", "kind = damping").replace(
+        "type = hamiltonian", "type = dephasing\nrate = 0.3"
+    ),
+}
+
+
+def _complex_path_errors(cfg):
+    """Per-(parameter, state) errors from the complex public engine."""
+    if cfg.kind == "zeno":
+        m, p, dim = _build_mixing_pair(cfg)
+        l = _build_generator(cfg, dim)
+        states = build_states(cfg, dim)
+        grid = [int(round(n)) for n in cfg.grid()]
+        engine = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=grid, test_states=states)
+        error = zeno_error
+    else:
+        dim = cfg.dimension
+        l = _build_generator(cfg, dim)
+        p = vacuum_projection_superop(dim)
+        states = build_states(cfg, dim)
+        grid = cfg.grid()
+        engine = DampingConfig(
+            k=attenuator_generator(dim), l=l, p=p, t=cfg.t, gamma_grid=grid, test_states=states
+        )
+        error = damping_error
+    eff = effective_dynamics(p, l, cfg.t)
+    return {
+        (float(x), sid): error(engine, x, rho, effective=eff).error
+        for x in grid
+        for sid, rho in states
+    }
+
+
+@pytest.mark.parametrize("case", [*AGREEMENT_CASES, "uniform-zeno"])
+def test_real_runners_agree_with_complex_engine(case):
+    cfg = preset_config(case) if case in PRESETS else parse_config_text(AGREEMENT_CASES[case])
+    expected = _complex_path_errors(cfg)
+    rows = run_experiment(cfg)
+    assert len(rows) == len(expected)
+    for row in rows:
+        assert abs(row.error - expected[(row.parameter, row.state_id)]) <= 1e-12, row
+
+
+def test_runner_rejects_generator_that_breaks_hermiticity(monkeypatch):
+    def skewed(cfg, dim):
+        return Superoperator(matrix=random_operator(dim * dim, stream(cfg.seed, 99), norm=0.1))
+
+    monkeypatch.setattr(experiments, "_build_generator", skewed)
+    with pytest.raises(InvariantViolation, match="L: map is not Hermiticity-preserving"):
+        run_experiment(parse_config_text(MINI_ZENO))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenolab.channels import (
     HamiltonianCommutator,
@@ -15,15 +17,19 @@ from zenolab.linalg import (
     _flush_underflow,
     adjoint,
     devectorize,
+    herm_devectorize,
     herm_eig,
+    herm_vectorize,
     kron,
     matmul,
     matrix_exp,
     matrix_power,
     singular_values,
+    to_hermitian_basis,
     trace_norm,
     vectorize,
 )
+from zenolab.sampling import random_density_matrix, random_hermitian, random_operator, stream
 from zenolab.zeno import ZenoConfig, zeno_product, zeno_product_iterated
 
 RNG = np.random.default_rng(20240801)
@@ -277,3 +283,78 @@ def test_matrix_exp_flushes_stiff_damping_generator():
     assert _parts_below_floor(ours) == 0
     ref = scipy.linalg.expm(stiff)
     assert np.linalg.norm(ours - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# Hermitian operator basis
+
+
+def hermitian_basis_unitary(d):
+    """Dense U: column k is vec of the Hermitian matrix with coordinates e_k."""
+    return np.column_stack([vectorize(herm_devectorize(e)) for e in np.eye(d * d)])
+
+
+def test_hermitian_basis_is_unitary_and_states_round_trip():
+    for d in (1, 2, 3, 6):
+        u = hermitian_basis_unitary(d)
+        assert np.abs(u.conj().T @ u - np.eye(d * d)).max() <= 1e-15
+        for x in (random_density_matrix(d, stream(5, d)), random_hermitian(d, stream(6, d))):
+            coords = herm_vectorize(x)
+            assert coords.dtype == np.float64
+            assert np.abs(coords - u.conj().T @ vectorize(x)).max() <= 1e-15
+            assert np.abs(herm_devectorize(coords) - x).max() <= 1e-15
+
+
+def test_to_hermitian_basis_matches_dense_change():
+    d = 5
+    u = hermitian_basis_unitary(d)
+    h = random_hermitian(d, stream(7, 0))
+    maps = (
+        to_superoperator(attenuator_kraus(0.6 - 0.3j, d)).matrix,
+        HamiltonianCommutator(hamiltonian=h).to_superoperator(d).matrix,
+        vacuum_projection_superop(d).matrix,
+    )
+    for a in maps:
+        real = to_hermitian_basis(a)
+        assert real.dtype == np.float64
+        assert np.abs(real - u.conj().T @ a @ u).max() <= 1e-14 * np.abs(a).max()
+
+
+def test_to_hermitian_basis_rejects_maps_that_do_not_preserve_hermiticity():
+    d = 4
+    with pytest.raises(ValueError, match="Hermiticity"):
+        to_hermitian_basis(random_operator(d * d, stream(8, 0)))
+    with pytest.raises(ValueError):
+        to_hermitian_basis(np.eye(6))  # not d^2 x d^2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_vectorize(random_operator(d, stream(8, 1)))
+
+
+def test_kernels_keep_real_input_real():
+    a = RNG.normal(size=(20, 20))
+    a /= np.linalg.norm(a, 2)
+    for real, as_complex in (
+        (matrix_exp(3.0 * a), matrix_exp((3.0 * a).astype(np.complex128))),
+        (matrix_power(a, 13), matrix_power(a.astype(np.complex128), 13)),
+    ):
+        assert real.dtype == np.float64 and as_complex.dtype == np.complex128
+        assert np.abs(real - as_complex).max() <= 1e-13
+    assert matrix_exp(np.zeros((3, 3), dtype=np.complex128)).dtype == np.complex128
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    radius=st.floats(min_value=0.0, max_value=1.0),
+    angle=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_attenuator_maps_have_real_hermitian_forms(d, radius, angle):
+    u = hermitian_basis_unitary(d)
+    eta = radius * complex(np.cos(angle), np.sin(angle))
+    for a in (to_superoperator(attenuator_kraus(eta, d)).matrix, attenuator_generator(d).matrix):
+        scale = np.abs(a).max()
+        exact = u.conj().T @ a @ u
+        assert np.abs(exact.imag).max() <= 1e-14 * scale
+        real = to_hermitian_basis(a)
+        assert np.abs(real - exact.real).max() <= 1e-14 * scale
+        assert np.abs(u @ real @ u.conj().T - a).max() <= 1e-14 * scale
