@@ -81,11 +81,10 @@ def main(argv=None) -> int:
             print(f"  {state_id}: fitted C={fitted_c:.4g}, p={fitted_p:.4g}")
         if cfg.kind in ("zeno", "damping"):
             # the rate constants scale with ||L||, so record the probe norm
-            from .experiments import _build_generator, _build_mixing_pair
+            from .experiments import _build_generator, _state_dim
             from .zeno import one_one_norm_probe
 
-            dim = _build_mixing_pair(cfg)[2] if cfg.kind == "zeno" else cfg.dimension
-            probe = one_one_norm_probe(_build_generator(cfg, dim))
+            probe = one_one_norm_probe(_build_generator(cfg, _state_dim(cfg)))
             print(f"  ||L|| (1->1 probe lower bound): {probe.value:.6g} from {probe.probe_count} probes")
         return 0
     except ConfigError as exc:

@@ -366,6 +366,13 @@ def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
     return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
 
 
+def _state_dim(cfg: ExperimentConfig) -> int:
+    """Dimension of the states a zeno or damping run evolves."""
+    if cfg.kind == "zeno" and cfg.channel_type != "attenuator":
+        return cfg.system_dim
+    return cfg.dimension
+
+
 def _build_mixing_pair(cfg: ExperimentConfig):
     """Return (M, P, state_dim) for the configured mixing operation."""
     if cfg.channel_type == "attenuator":

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import ceil, log2
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -283,6 +286,68 @@ def test_matrix_exp_flushes_stiff_damping_generator():
     assert _parts_below_floor(ours) == 0
     ref = scipy.linalg.expm(stiff)
     assert np.linalg.norm(ours - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# accuracy and memory of the Paterson-Stockmeyer exponential
+
+
+def _expm_longdouble(a):
+    """Scaling and squaring of the term-by-term Taylor series in np.longdouble."""
+    a = np.asarray(a, dtype=np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = 0 if norm <= 0.5 else int(ceil(log2(norm / 0.5)))
+    x = a / np.longdouble(2) ** s
+    result = np.eye(a.shape[0], dtype=np.longdouble)
+    term = result.copy()
+    for k in range(1, 40):
+        term = term @ x / k
+        result = result + term
+        if np.abs(term).sum(axis=0).max() < 1e-24:
+            break
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here"
+)
+def test_matrix_exp_matches_extended_precision_reference_on_stiff_generators():
+    # exp(gamma K + L) at d=12 in the real Hermitian basis, the form the
+    # damping sweep exponentiates; the float64 kernel is off by 1.7e-12
+    # (gamma=2048, 18 squarings) and 7.0e-13 (gamma=128)
+    d = 12
+    a = annihilation(d)
+    l = HamiltonianCommutator(hamiltonian=(a + a.conj().T) / d).to_superoperator(d).matrix
+    k = attenuator_generator(d).matrix
+    for gamma in (2048.0, 128.0):
+        stiff = to_hermitian_basis(gamma * k + l)
+        err = np.abs(matrix_exp(stiff) - _expm_longdouble(stiff)).max()
+        assert err <= 1e-11, (gamma, float(err))
+
+
+def test_matrix_exp_tolerance_holds_against_scipy():
+    # an entrywise positive matrix keeps ||x^k|| near ||x||^k, so the
+    # Taylor remainder is close to its bound and tol=1e-6 visibly truncates
+    a = RNG.random(size=(30, 30))
+    a *= 3.0 / np.linalg.norm(a, 1)
+    ref = scipy.linalg.expm(a)
+    for tol, ours in ((1e-6, matrix_exp(a, tol=1e-6)), (1e-12, matrix_exp(a))):
+        assert np.linalg.norm(ours - ref, 1) <= tol * np.linalg.norm(ref, 1), tol
+
+
+def test_matrix_exp_holds_at_most_four_work_arrays():
+    # x^2, x^3 and two Horner/squaring buffers, plus the flush masks
+    d = 576
+    a = np.random.default_rng(3).normal(size=(d, d))
+    tracemalloc.start()
+    try:
+        matrix_exp(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * d * d, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,59 @@ def test_one_one_norm_probe_projection():
         assert probe.value == pytest.approx(1.0, abs=1e-9)
 
 
+def _probe_loop(l, extra_probes=64, seed=0):
+    """One application of L and two SVDs per probe: the reference for the batched probe."""
+    d = l.dim
+    probes = []
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            probes.append(unit)
+    rng = np.random.default_rng(np.random.Philox(key=np.array([seed, 0x1111], dtype=np.uint64)))
+    target = max(200, d * d + 2 * extra_probes)
+    while len(probes) < target:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        probes.append(g + g.conj().T)
+        probes.append(g @ g.conj().T)
+    best = 0.0
+    for x in probes:
+        denom = trace_norm(x)
+        if denom >= 1e-14:
+            best = max(best, trace_norm(apply(l, x)) / denom)
+    return best, len(probes)
+
+
+def test_one_one_norm_probe_batched_equals_per_probe_loop():
+    # d=3 has an odd random remainder (201 probes), d=9 and d=16 span
+    # several chunks of units and of random probes
+    for d, extra, seed in ((3, 64, 0), (9, 0, 5), (16, 64, 0), (16, 100, 3)):
+        l = Superoperator(matrix=attenuator_generator(d).matrix + quadrature_generator(d).matrix)
+        value, count = _probe_loop(l, extra, seed)
+        probe = one_one_norm_probe(l, extra_probes=extra, seed=seed)
+        assert probe.probe_count == count
+        assert probe.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_damping_validation_catches_expansion_and_bad_projection():
+    d = 4
+    good = damping_config(dim=d)
+    good.validate()
+    p = vacuum_projection_superop(d)
+    growing = DampingConfig(
+        k=Superoperator(matrix=0.5 * np.eye(d * d, dtype=complex)), l=p, p=p, t=1.0,
+        gamma_grid=(2.0,), test_states=good.test_states,
+    )
+    with pytest.raises(ValueError, match="contractive"):
+        growing.validate()
+    # a unitary rotation is contractive but moves the vacuum that P keeps
+    rotating = DampingConfig(
+        k=quadrature_generator(d), l=p, p=p, t=1.0, gamma_grid=(2.0,), test_states=good.test_states,
+    )
+    with pytest.raises(ValueError, match=r"exp\(K\) P != P"):
+        rotating.validate()
+
+
 def test_attenuator_speed_bound_vacuum():
     d = 8
     zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
