@@ -19,9 +19,6 @@ __all__ = [
     "Superoperator",
     "HamiltonianCommutator",
     "Dephasing",
-    "ExplicitSuperoperator",
-    "GeneratorSpec",
-    "build_generator",
     "attenuator_kraus",
     "to_superoperator",
     "apply",
@@ -232,24 +229,6 @@ class Dephasing:
             kron(n_op.T, n_op) - 0.5 * (kron(eye, n_sq) + kron(n_sq.T, eye))
         )
         return Superoperator(matrix=mat, label="dephasing")
-
-
-@dataclass(frozen=True)
-class ExplicitSuperoperator:
-    matrix: np.ndarray
-
-    def to_superoperator(self, dim: int) -> Superoperator:
-        sup = Superoperator(matrix=self.matrix, label="explicit")
-        if sup.dim != dim:
-            raise ValueError(f"explicit superoperator dim {sup.dim} != {dim}")
-        return sup
-
-
-GeneratorSpec = HamiltonianCommutator | Dephasing | ExplicitSuperoperator
-
-
-def build_generator(spec: GeneratorSpec, dim: int) -> Superoperator:
-    return spec.to_superoperator(dim)
 
 
 def mixing_speed_empirical(m: Superoperator, p: Superoperator, x, n_grid) -> list:

@@ -15,6 +15,7 @@ from .experiments import (
     InvariantViolation,
     PRESETS,
     emit_plot_script,
+    generator_norm_probe,
     list_presets,
     parse_config,
     preset_config,
@@ -80,11 +81,7 @@ def main(argv=None) -> int:
         for state_id, fitted_c, fitted_p in fits:
             print(f"  {state_id}: fitted C={fitted_c:.4g}, p={fitted_p:.4g}")
         if cfg.kind in ("zeno", "damping"):
-            # the rate constants scale with ||L||, so record the probe norm
-            from .experiments import _build_generator, _state_dim
-            from .zeno import one_one_norm_probe
-
-            probe = one_one_norm_probe(_build_generator(cfg, _state_dim(cfg)))
+            probe = generator_norm_probe(cfg)
             print(f"  ||L|| (1->1 probe lower bound): {probe.value:.6g} from {probe.probe_count} probes")
         return 0
     except ConfigError as exc:

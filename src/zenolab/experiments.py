@@ -13,13 +13,16 @@ import configparser
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import binomial as bn
+from . import zeno
 from .channels import (
     Dephasing,
     HamiltonianCommutator,
@@ -48,6 +51,7 @@ from .sampling import (
     stream,
 )
 from .zeno import (
+    ConvergenceRecord,
     DampingConfig,
     ZenoConfig,
     effective_dynamics,
@@ -67,6 +71,7 @@ __all__ = [
     "parse_config_text",
     "preset_config",
     "build_states",
+    "generator_norm_probe",
     "run_experiment",
     "write_csv",
     "rows_to_csv_text",
@@ -94,6 +99,11 @@ _STREAM_CHANNEL = 1
 _STREAM_GENERATOR = 2
 _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
+
+# Most d^2 x d^2 complex matrices (16 d^4 bytes each) a one-worker run holds
+# at once, from tracemalloc peaks at d = 16 and 20: 4.1 for mixing, 7.7 for
+# zeno and damping, 8.3 for the gapped binomial kind.
+_LIVE_MATRICES = 9
 
 
 class ConfigError(Exception):
@@ -137,7 +147,11 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def grid(self) -> list:
-        return [self.grid_start * self.grid_factor**j for j in range(self.grid_count)]
+        """``start * factor^j`` for ``j < count``, rounded to integers for ``_ROUNDED_KINDS``."""
+        points = [self.grid_start * self.grid_factor**j for j in range(self.grid_count)]
+        if self.kind in _ROUNDED_KINDS:
+            return [int(round(x)) for x in points]
+        return points
 
 
 @dataclass(frozen=True)
@@ -267,6 +281,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         output_path=output_path,
     )
     _check_grid(cfg)
+    _check_size(cfg)
     return cfg
 
 
@@ -274,7 +289,7 @@ def _check_grid(cfg: ExperimentConfig) -> None:
     """The grid stays finite and, where it is rounded to integers, has no repeats."""
     try:
         grid = cfg.grid()
-    except OverflowError:  # float ** int raises where float * float gives inf
+    except OverflowError:  # float ** int, or rounding inf to an integer
         grid = [math.inf]
     if not math.isfinite(grid[-1]):
         raise ConfigError(
@@ -282,13 +297,27 @@ def _check_grid(cfg: ExperimentConfig) -> None:
             f"start * factor^(count-1) = {cfg.grid_start} * {cfg.grid_factor}^{cfg.grid_count - 1} "
             "overflows float64",
         )
-    if cfg.kind in _ROUNDED_KINDS:
-        rounded = [int(round(g)) for g in grid]
-        if len(set(rounded)) < len(rounded):
-            raise ConfigError(
-                "grid.factor",
-                f"the {cfg.kind} grid is rounded to integers, which repeats points: {rounded}",
-            )
+    if cfg.kind in _ROUNDED_KINDS and len(set(grid)) < len(grid):
+        raise ConfigError(
+            "grid.factor",
+            f"the {cfg.kind} grid is rounded to integers, which repeats points: {grid}",
+        )
+
+
+def _check_size(cfg: ExperimentConfig) -> None:
+    """The run's dense matrices fit in physical memory; simplex holds none."""
+    if cfg.kind == "simplex":
+        return
+    field, d = _state_dim(cfg)
+    need = _LIVE_MATRICES * 16 * d**4
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            field,
+            f"d = {d} needs about {need / 2**30:.3g} GiB for {_LIVE_MATRICES} dense "
+            f"{d * d}x{d * d} complex matrices, more than the {have / 2**30:.3g} GiB "
+            "of physical memory",
+        )
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -366,27 +395,41 @@ def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
     return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
 
 
-def _state_dim(cfg: ExperimentConfig) -> int:
-    """Dimension of the states a zeno or damping run evolves."""
+def _state_dim(cfg: ExperimentConfig) -> tuple:
+    """``(field, d)``: the config key that sets the dimension ``d`` of a run's states.
+
+    The gapped zeno channel acts on ``channel.system_dim`` and the binomial
+    kind on ``binomial.system_dim`` (which defaults to ``channel.system_dim``);
+    every other kind on the Fock truncation ``experiment.dimension``.
+    """
+    if cfg.kind == "binomial":
+        return "binomial.system_dim", cfg.system_dim
     if cfg.kind == "zeno" and cfg.channel_type != "attenuator":
-        return cfg.system_dim
-    return cfg.dimension
+        return "channel.system_dim", cfg.system_dim
+    return "experiment.dimension", cfg.dimension
 
 
 def _build_mixing_pair(cfg: ExperimentConfig):
     """Return (M, P, state_dim) for the configured mixing operation."""
+    _, d = _state_dim(cfg)
     if cfg.channel_type == "attenuator":
-        d = cfg.dimension
         m = to_superoperator(attenuator_kraus(cfg.eta, d), label="attenuator")
         return m, vacuum_projection_superop(d), d
-    m, p, _ = random_gapped_channel(
-        cfg.system_dim, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta
-    )
-    return m, p, cfg.system_dim
+    m, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
+    return m, p, d
+
+
+def generator_norm_probe(cfg: ExperimentConfig) -> zeno.ProbeNorm:
+    """The 1->1 norm probe (:func:`zenolab.zeno.one_one_norm_probe`) of a run's generator L.
+
+    The fitted rate constants of the zeno and damping kinds scale with
+    ``||L||``, so the CLI reports this lower bound next to them.
+    """
+    return zeno.one_one_norm_probe(_build_generator(cfg, _state_dim(cfg)[1]))
 
 
 # ----------------------------------------------------------------------------
-# per-kind runners
+# the sweep engine and the per-kind runners
 
 
 def _map_tasks(tasks, threads: int):
@@ -397,79 +440,92 @@ def _map_tasks(tasks, threads: int):
         return [f.result() for f in futures]
 
 
-def _attach_fits(cells, exp_id, kind, *, fit_model):
-    """Per-state rate fits plus the log-envelope bound pinned at the first point."""
-    rows = []
+def _sweep(grid, deviation, states, threads: int, hermitian: bool) -> list:
+    """``||deviation(x) rho||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
+
+    ``deviation(x)`` is the map at ``x`` minus its limit: a real matrix on
+    Hermitian-basis coordinates when ``hermitian``, else a complex matrix on
+    column-stacked vectors.  Each grid point is one task of ``_map_tasks``.
+    A record's ``wall_time_s`` is an even share of its point's ``deviation``
+    time plus its own error evaluation, so a run's records sum to its sweep.
+    """
+    encode, decode = (herm_vectorize, herm_devectorize) if hermitian else (vectorize, devectorize)
+    coords = [(state_id, encode(rho)) for state_id, rho in states]
+
+    def point(x):
+        started = time.perf_counter()
+        diff = deviation(x)
+        share = (time.perf_counter() - started) / len(coords)
+        records = []
+        for state_id, v in coords:
+            started = time.perf_counter()
+            # one product per state: a batched product would sum in another order
+            err = trace_norm(decode(diff @ v))
+            wall = share + time.perf_counter() - started
+            records.append(ConvergenceRecord(float(x), err, None, state_id, wall))
+        return records
+
+    chunks = _map_tasks([partial(point, x) for x in grid], threads)
+    return [record for chunk in chunks for record in chunk]
+
+
+def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
+    """The CSV rows of a run's records, grouped by state in parameter order.
+
+    Without ``fit_model`` each row keeps its record's bound.  With it, each
+    state of at least four records, all errors positive and all parameters
+    above 1, gets a ``fit_rate`` fit and the bound ``C log(x)/x`` with ``C``
+    pinned at its first point (``fit_log_envelope``); other states get none.
+    """
     by_state = {}
-    for parameter, state_id, error, wall in cells:
-        by_state.setdefault(state_id, []).append((parameter, error, wall))
-    for state_id, triples in by_state.items():
-        triples.sort(key=lambda item: item[0])
-        params = [p for p, _, _ in triples]
-        errors = [e for _, e, _ in triples]
-        fitted_c = fitted_p = None
-        envelope = None
-        if len(triples) >= 4 and all(e > 0 for e in errors) and min(params) > 1:
-            records = [_Rec(p, e) for p, e in zip(params, errors)]
-            fit = fit_rate(records, model=fit_model)
+    for record in records:
+        by_state.setdefault(record.state_id, []).append(record)
+    rows = []
+    for state_id, recs in by_state.items():
+        recs.sort(key=lambda r: r.parameter)
+        fitted_c = fitted_p = envelope = None
+        if fit_model and len(recs) >= 4 and all(r.error > 0 for r in recs) and recs[0].parameter > 1:
+            fit = fit_rate(recs, model=fit_model)
             fitted_c, fitted_p = fit.constant, fit.exponent
-            envelope, _ = fit_log_envelope(records)
-        for parameter, error, wall in triples:
-            bound = None
+            envelope, _ = fit_log_envelope(recs)
+        for r in recs:
+            bound = r.bound
             if envelope is not None:
-                bound = envelope * float(np.log(parameter)) / parameter
+                bound = envelope * float(np.log(r.parameter)) / r.parameter
             rows.append(
                 ReportRow(
-                    experiment_id=exp_id,
-                    kind=kind,
-                    parameter=parameter,
+                    experiment_id=cfg.experiment_id,
+                    kind=cfg.kind,
+                    parameter=r.parameter,
                     state_id=state_id,
-                    error=error,
+                    error=r.error,
                     bound=bound,
                     fitted_c=fitted_c,
                     fitted_p=fitted_p,
-                    wall_time_ms=wall * 1000.0,
+                    wall_time_ms=r.wall_time_s * 1000.0,
                 )
             )
     return rows
 
 
-@dataclass(frozen=True)
-class _Rec:
-    parameter: float
-    error: float
-
-
 def _run_mixing(cfg: ExperimentConfig, threads: int) -> list:
-    d = cfg.dimension
-    p = vacuum_projection_superop(d)
+    _, d = _state_dim(cfg)
+    p = vacuum_projection_superop(d).matrix
     states = build_states(cfg, d)
-    grid = [int(round(n)) for n in cfg.grid()]
 
-    def task_for(n):
-        def task():
-            # Phi^n equals the channel at eta^n (semigroup property); forming
-            # the difference superoperator first keeps tiny errors below the
-            # cancellation floor of an explicit subtraction of states.
-            diff = to_superoperator(attenuator_kraus(cfg.eta**n, d)).matrix - p.matrix
-            out = []
-            for state_id, rho in states:
-                started = time.perf_counter()
-                err = trace_norm(devectorize(diff @ vectorize(rho)))
-                bound = attenuator_mixing_bound(cfg.eta, n, rho)
-                out.append((float(n), state_id, err, bound, time.perf_counter() - started))
-            return out
-        return task
+    def deviation(n):
+        # Phi^n equals the channel at eta^n (semigroup property); forming
+        # the difference superoperator first keeps tiny errors below the
+        # cancellation floor of an explicit subtraction of states.
+        return to_superoperator(attenuator_kraus(cfg.eta**n, d)).matrix - p
 
-    cells = [c for chunk in _map_tasks([task_for(n) for n in grid], threads) for c in chunk]
-    return [
-        ReportRow(cfg.experiment_id, "mixing", par, sid, err, bound, None, None, wall * 1000.0)
-        for par, sid, err, bound, wall in cells
+    records = _sweep(cfg.grid(), deviation, states, threads, hermitian=False)
+    rho = dict(states)
+    records = [
+        replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
+        for r in records
     ]
-
-
-def _hermitian_states(states) -> list:
-    return [(state_id, herm_vectorize(rho)) for state_id, rho in states]
+    return _rows(cfg, records)
 
 
 def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
@@ -478,32 +534,21 @@ def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
     m, p, dim = _build_mixing_pair(cfg)
     l = _build_generator(cfg, dim)
     states = build_states(cfg, dim)
-    grid = [int(round(n)) for n in cfg.grid()]
+    grid = cfg.grid()
     zcfg = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=grid, test_states=states)
     zcfg.validate()
     m, l, p = zcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
-    coords = _hermitian_states(states)
 
-    def task_for(n):
-        def task():
-            step = m @ matrix_exp((cfg.t / n) * l)
-            diff = matrix_power(step, n) - eff
-            out = []
-            for state_id, v in coords:
-                started = time.perf_counter()
-                err = trace_norm(herm_devectorize(diff @ v))
-                out.append((float(n), state_id, err, time.perf_counter() - started))
-            return out
-        return task
+    def deviation(n):
+        return matrix_power(m @ matrix_exp((cfg.t / n) * l), n) - eff
 
-    cells = [c for chunk in _map_tasks([task_for(n) for n in grid], threads) for c in chunk]
-    return _attach_fits(cells, cfg.experiment_id, "zeno", fit_model="power_log")
+    return _rows(cfg, _sweep(grid, deviation, states, threads, hermitian=True), "power_log")
 
 
 def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
     # Real Hermitian-basis matrices throughout, as in _run_zeno.
-    d = cfg.dimension
+    _, d = _state_dim(cfg)
     k = attenuator_generator(d)
     p = vacuum_projection_superop(d)
     l = _build_generator(cfg, d)
@@ -513,25 +558,15 @@ def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
     dcfg.validate()
     k, l, p = dcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
-    coords = _hermitian_states(states)
 
-    def task_for(gamma):
-        def task():
-            diff = matrix_exp(cfg.t * (gamma * k + l)) - eff
-            out = []
-            for state_id, v in coords:
-                started = time.perf_counter()
-                err = trace_norm(herm_devectorize(diff @ v))
-                out.append((float(gamma), state_id, err, time.perf_counter() - started))
-            return out
-        return task
+    def deviation(gamma):
+        return matrix_exp(cfg.t * (gamma * k + l)) - eff
 
-    cells = [c for chunk in _map_tasks([task_for(g) for g in grid], threads) for c in chunk]
-    return _attach_fits(cells, cfg.experiment_id, "damping", fit_model="power_log")
+    return _rows(cfg, _sweep(grid, deviation, states, threads, hermitian=True), "power_log")
 
 
 def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
-    s = cfg.system_dim
+    _, s = _state_dim(cfg)
     if cfg.binomial_mode == "exp-limit":
         m_mat = np.eye(s * s, dtype=np.complex128)
         l_mat = random_operator(s * s, stream(cfg.seed, _STREAM_BINOMIAL), norm=0.9)
@@ -544,48 +579,24 @@ def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
         target = matrix_exp(p.matrix @ l_mat @ p.matrix) @ p.matrix
         fit_model = "power_log"
     states = build_states(cfg, s)
-    grid = [int(round(n)) for n in cfg.grid()]
 
-    def task_for(n):
-        def task():
-            product = bn.binomial_product(m_mat, l_mat, n)
-            out = []
-            for state_id, rho in states:
-                started = time.perf_counter()
-                err = trace_norm(devectorize((product - target) @ vectorize(rho)))
-                out.append((float(n), state_id, err, time.perf_counter() - started))
-            return out
-        return task
+    def deviation(n):
+        return bn.binomial_product(m_mat, l_mat, n) - target
 
-    cells = [c for chunk in _map_tasks([task_for(n) for n in grid], threads) for c in chunk]
-    return _attach_fits(cells, cfg.experiment_id, "binomial", fit_model=fit_model)
+    return _rows(cfg, _sweep(cfg.grid(), deviation, states, threads, hermitian=False), fit_model)
 
 
 def _run_simplex(cfg: ExperimentConfig, threads: int) -> list:
     del threads  # counting is cheap; no parallel map needed
-    rows = []
-    grid = [int(round(n)) for n in cfg.grid()]
-    for n in grid:
-        for k in range(1, cfg.k_max + 1):
-            if n < k:
-                continue
+    records = []
+    for n in cfg.grid():
+        for k in range(1, min(n, cfg.k_max) + 1):
             started = time.perf_counter()
             check = bn.simplex_ratio_bound_check(n, k)
-            deviation = abs(check.ratio - check.limit)
-            rows.append(
-                ReportRow(
-                    experiment_id=cfg.experiment_id,
-                    kind="simplex",
-                    parameter=float(n),
-                    state_id=f"k={k}",
-                    error=deviation,
-                    bound=check.bound,
-                    fitted_c=None,
-                    fitted_p=None,
-                    wall_time_ms=(time.perf_counter() - started) * 1000.0,
-                )
-            )
-    return rows
+            error = abs(check.ratio - check.limit)
+            wall = time.perf_counter() - started
+            records.append(ConvergenceRecord(float(n), error, check.bound, f"k={k}", wall))
+    return _rows(cfg, records)
 
 
 _RUNNERS = {
@@ -686,8 +697,6 @@ print(f"wrote {{OUT_PATH}}")
 
 def emit_plot_script(csv_path: str, out_path: str | None = None) -> str:
     """Write a self-contained matplotlib script next to the CSV."""
-    import os
-
     if not os.path.exists(csv_path):
         raise ConfigError("plot.csv", f"no such CSV file: {csv_path!r}")
     if out_path is None:

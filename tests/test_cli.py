@@ -1,6 +1,9 @@
 import csv
 import os
 
+import pytest
+
+from zenolab import cli
 from zenolab.cli import main
 
 GOOD = """
@@ -94,3 +97,36 @@ def test_plot_emits_script(tmp_path):
     csv_path = tmp_path / "cli-mixing.csv"
     assert main(["plot", str(csv_path)]) == 0
     assert os.path.exists(tmp_path / "cli-mixing_plot.py")
+
+
+def test_zeno_run_reports_generator_probe(tmp_path, capsys):
+    cfg = tmp_path / "zeno.ini"
+    cfg.write_text(
+        GOOD.replace("kind = mixing", "kind = zeno").replace("start = 1", "start = 8")
+    )
+    assert main(["--out", str(tmp_path), "run", str(cfg)]) == 0
+    assert "||L|| (1->1 probe lower bound):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[experiment]\nkind = zeno\ndimension = 400\n", "experiment.dimension"),
+        ("[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 300\n", "binomial.system_dim"),
+        (
+            "[experiment]\nkind = zeno\n[channel]\ntype = gapped\nsystem_dim = 300\n",
+            "channel.system_dim",
+        ),
+    ],
+    ids=["dimension", "binomial", "gapped"],
+)
+def test_oversized_config_exits_2_before_running(tmp_path, capsys, monkeypatch, text, field):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized config reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err and "physical memory" in err

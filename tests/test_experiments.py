@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
+from zenolab.linalg import matrix_power
 from zenolab.sampling import random_operator, stream
 from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, zeno_error
 
@@ -112,6 +116,26 @@ def test_parse_rejects_grid_that_rounds_to_repeats():
         assert err.value.field == "grid.factor"
     # damping keeps gamma as a float, so the same grid stays distinct
     assert len(set(parse_config_text(text.replace("kind = zeno", "kind = damping")).grid())) == 5
+
+
+def test_grid_is_integer_only_for_rounded_kinds():
+    text = MINI_ZENO.replace("start = 8", "start = 1").replace("factor = 2", "factor = 3.3")
+    for kind in ("mixing", "zeno", "binomial", "simplex"):
+        grid = parse_config_text(text.replace("kind = zeno", f"kind = {kind}")).grid()
+        assert grid == [1, 3, 11, 36, 119] and all(type(n) is int for n in grid)
+    assert parse_config_text(text.replace("kind = zeno", "kind = damping")).grid()[1] == 3.3
+
+
+def test_size_check_counts_live_dense_matrices(monkeypatch):
+    # physical memory of exactly nine 100 x 100 complex matrices admits d = 10, not d = 11
+    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MATRICES * 10**4}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert parse_config_text(MINI_ZENO).dimension == 10
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINI_ZENO.replace("dimension = 10", "dimension = 11"))
+    assert err.value.field == "experiment.dimension"
+    simplex = MINI_ZENO.replace("kind = zeno", "kind = simplex").replace("= 10", "= 4000")
+    assert parse_config_text(simplex).dimension == 4000  # holds no dense matrix
 
 
 def test_parse_rejects_unknown_kind():
@@ -275,6 +299,22 @@ def test_run_threads_match_serial():
             b.error,
             b.bound,
         )
+
+
+def test_wall_time_covers_each_grid_point(monkeypatch):
+    # each zeno grid point takes one power; slowing it by 20 ms shows in
+    # every row, an even share of it per state, and the rows never add up
+    # to more than the run
+    def slow_power(a, n):
+        time.sleep(0.02)
+        return matrix_power(a, n)
+
+    monkeypatch.setattr(experiments, "matrix_power", slow_power)
+    started = time.perf_counter()
+    rows = run_experiment(parse_config_text(MINI_ZENO))
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    assert all(row.wall_time_ms >= 10.0 for row in rows)
+    assert sum(row.wall_time_ms for row in rows) <= elapsed_ms
 
 
 # Hermiticity-preserving maps of each kind the real-basis runners meet, at d = 10.

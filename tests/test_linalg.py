@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from math import ceil, log2
 
@@ -14,10 +15,12 @@ from zenolab.channels import (
     to_superoperator,
     vacuum_projection_superop,
 )
+from zenolab import linalg
 from zenolab.fock import annihilation, coherent_vector
 from zenolab.linalg import (
     FLOOR,
     _flush_underflow,
+    _taylor_degree,
     adjoint,
     devectorize,
     herm_devectorize,
@@ -348,6 +351,42 @@ def test_matrix_exp_holds_at_most_four_work_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 8 * d * d, peak / 2**20
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("s", [0, 3, 12])
+def test_matrix_exp_tightens_the_taylor_threshold_for_each_squaring(monkeypatch, s, tol):
+    # each of the s squarings can double the polynomial's error, so the
+    # degree is chosen for tol / 2^(s+2); the accuracy tests above also pass
+    # with a threshold of plain tol, so the budget is pinned here
+    seen = []
+
+    def recording(theta, threshold):
+        seen.append((theta, threshold))
+        return _taylor_degree(theta, threshold)
+
+    monkeypatch.setattr(linalg, "_taylor_degree", recording)
+    a = RNG.normal(size=(6, 6))
+    a -= a.T  # exp(a) is orthogonal, so no squaring overflows
+    a *= 0.375 * 2.0**s / np.linalg.norm(a, 1)  # scales to theta = 0.375 in s squarings
+    matrix_exp(a, tol=tol)
+    [(theta, threshold)] = seen
+    assert theta == pytest.approx(0.375)
+    assert threshold == tol / 2.0 ** (s + 2)
+
+
+@pytest.mark.parametrize(
+    "theta, threshold",
+    [(0.5, 1e-12 / 4), (0.5, 1e-12 / 2**14), (0.375, 1e-6 / 32), (0.01, 1e-20), (0.5, 1e-3)],
+)
+def test_taylor_degree_is_least_whose_summed_remainder_meets_threshold(theta, threshold):
+    def remainder(m):  # sum_{k > m} theta^k / k!, summed term by term
+        return math.fsum(theta**k / math.factorial(k) for k in range(m + 1, m + 60))
+
+    m = _taylor_degree(theta, threshold)
+    assert remainder(m) <= threshold
+    # one degree less misses by more than the slack of the a-priori bound
+    assert remainder(m - 1) > threshold * (1 - theta / (m + 1))
 
 
 # ---------------------------------------------------------------------------
