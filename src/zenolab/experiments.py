@@ -27,6 +27,7 @@ from .channels import (
     Dephasing,
     HamiltonianCommutator,
     Superoperator,
+    attenuator_deviation,
     attenuator_generator,
     attenuator_kraus,
     attenuator_mixing_bound,
@@ -101,9 +102,14 @@ _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
 
 # Most d^2 x d^2 complex matrices (16 d^4 bytes each) a one-worker run holds
-# at once, from tracemalloc peaks at d = 16 and 20: 4.1 for mixing, 7.7 for
-# zeno and damping, 8.3 for the gapped binomial kind.
+# at once, from tracemalloc peaks at d = 16 and 20: 7.7 for zeno and damping,
+# 8.3 for the gapped binomial kind.
 _LIVE_MATRICES = 9
+# Mixing holds no such matrix, only d x d complex arrays: the states, their
+# images and the kernel's temporaries.  The most it holds at once, per test
+# state plus one for the weight table, from tracemalloc peaks at d = 64 and
+# 128 with 1, 4 and 8 states: 3.2 to 4.4.
+_LIVE_MIXING_ARRAYS = 5
 
 
 class ConfigError(Exception):
@@ -233,6 +239,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if binomial_mode not in ("exp-limit", "gapped"):
         raise ConfigError("binomial.mode", f"unknown mode {binomial_mode!r}")
     bin_system_dim = _get(parser, "binomial", "system_dim", int, default=system_dim)
+    if bin_system_dim < 2:
+        raise ConfigError("binomial.system_dim", f"must be >= 2, got {bin_system_dim}")
     k_max = _get(parser, "simplex", "k_max", int, default=8)
     if not 1 <= k_max <= 16:
         raise ConfigError("simplex.k_max", f"must lie in [1, 16], got {k_max}")
@@ -305,18 +313,21 @@ def _check_grid(cfg: ExperimentConfig) -> None:
 
 
 def _check_size(cfg: ExperimentConfig) -> None:
-    """The run's dense matrices fit in physical memory; simplex holds none."""
+    """The run's arrays fit in physical memory; simplex holds none."""
     if cfg.kind == "simplex":
         return
     field, d = _state_dim(cfg)
-    need = _LIVE_MATRICES * 16 * d**4
+    if cfg.kind == "mixing":
+        count, side = _LIVE_MIXING_ARRAYS * (len(cfg.state_specs) + 1), d
+    else:
+        count, side = _LIVE_MATRICES, d * d
+    need = count * 16 * side**2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             field,
-            f"d = {d} needs about {need / 2**30:.3g} GiB for {_LIVE_MATRICES} dense "
-            f"{d * d}x{d * d} complex matrices, more than the {have / 2**30:.3g} GiB "
-            "of physical memory",
+            f"d = {d} needs about {need / 2**30:.3g} GiB for {count} dense {side}x{side} "
+            f"complex matrices, more than the {have / 2**30:.3g} GiB of physical memory",
         )
 
 
@@ -440,33 +451,51 @@ def _map_tasks(tasks, threads: int):
         return [f.result() for f in futures]
 
 
-def _sweep(grid, deviation, states, threads: int, hermitian: bool) -> list:
-    """``||deviation(x) rho||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
+# How _sweep encodes each test state and decodes each image: real
+# Hermitian-basis coordinates, column-stacked vectors, or the matrix itself.
+_HERMITIAN = (herm_vectorize, herm_devectorize)
+_COLUMNS = (vectorize, devectorize)
+_OPERATORS = (np.asarray, np.asarray)
 
-    ``deviation(x)`` is the map at ``x`` minus its limit: a real matrix on
-    Hermitian-basis coordinates when ``hermitian``, else a complex matrix on
-    column-stacked vectors.  Each grid point is one task of ``_map_tasks``.
-    A record's ``wall_time_s`` is an even share of its point's ``deviation``
-    time plus its own error evaluation, so a run's records sum to its sweep.
+
+def _sweep(grid, act, states, threads: int, encoding) -> list:
+    """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
+
+    ``act(x, batch)`` returns the images, under the map at ``x`` minus its
+    limit, of the states encoded by ``encoding`` (a pair from ``_HERMITIAN``,
+    ``_COLUMNS`` and ``_OPERATORS``), one per state.  Each grid point is one
+    task of ``_map_tasks``.  A record's ``wall_time_s`` is an even share of
+    its point's ``act`` time plus its own error evaluation, so a run's
+    records sum to its sweep.
     """
-    encode, decode = (herm_vectorize, herm_devectorize) if hermitian else (vectorize, devectorize)
-    coords = [(state_id, encode(rho)) for state_id, rho in states]
+    encode, decode = encoding
+    batch = [encode(rho) for _, rho in states]
 
     def point(x):
         started = time.perf_counter()
-        diff = deviation(x)
-        share = (time.perf_counter() - started) / len(coords)
+        images = act(x, batch)
+        share = (time.perf_counter() - started) / len(states)
         records = []
-        for state_id, v in coords:
+        for (state_id, _), image in zip(states, images):
             started = time.perf_counter()
-            # one product per state: a batched product would sum in another order
-            err = trace_norm(decode(diff @ v))
+            err = trace_norm(decode(image))
             wall = share + time.perf_counter() - started
             records.append(ConvergenceRecord(float(x), err, None, state_id, wall))
         return records
 
     chunks = _map_tasks([partial(point, x) for x in grid], threads)
     return [record for chunk in chunks for record in chunk]
+
+
+def _matrix_action(deviation):
+    """The ``act`` of ``_sweep`` for a map given as the matrix ``deviation(x)``."""
+
+    def act(x, batch):
+        diff = deviation(x)
+        # one product per state: a batched product would sum in another order
+        return [diff @ v for v in batch]
+
+    return act
 
 
 def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
@@ -510,16 +539,13 @@ def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
 
 def _run_mixing(cfg: ExperimentConfig, threads: int) -> list:
     _, d = _state_dim(cfg)
-    p = vacuum_projection_superop(d).matrix
     states = build_states(cfg, d)
 
-    def deviation(n):
-        # Phi^n equals the channel at eta^n (semigroup property); forming
-        # the difference superoperator first keeps tiny errors below the
-        # cancellation floor of an explicit subtraction of states.
-        return to_superoperator(attenuator_kraus(cfg.eta**n, d)).matrix - p
+    def act(n, batch):
+        # Phi^n is the channel at eta^n (semigroup property)
+        return attenuator_deviation(cfg.eta**n, batch)
 
-    records = _sweep(cfg.grid(), deviation, states, threads, hermitian=False)
+    records = _sweep(cfg.grid(), act, states, threads, _OPERATORS)
     rho = dict(states)
     records = [
         replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
@@ -543,7 +569,8 @@ def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(n):
         return matrix_power(m @ matrix_exp((cfg.t / n) * l), n) - eff
 
-    return _rows(cfg, _sweep(grid, deviation, states, threads, hermitian=True), "power_log")
+    records = _sweep(grid, _matrix_action(deviation), states, threads, _HERMITIAN)
+    return _rows(cfg, records, "power_log")
 
 
 def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
@@ -562,7 +589,8 @@ def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(gamma):
         return matrix_exp(cfg.t * (gamma * k + l)) - eff
 
-    return _rows(cfg, _sweep(grid, deviation, states, threads, hermitian=True), "power_log")
+    records = _sweep(grid, _matrix_action(deviation), states, threads, _HERMITIAN)
+    return _rows(cfg, records, "power_log")
 
 
 def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
@@ -583,7 +611,8 @@ def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(n):
         return bn.binomial_product(m_mat, l_mat, n) - target
 
-    return _rows(cfg, _sweep(cfg.grid(), deviation, states, threads, hermitian=False), fit_model)
+    records = _sweep(cfg.grid(), _matrix_action(deviation), states, threads, _COLUMNS)
+    return _rows(cfg, records, fit_model)
 
 
 def _run_simplex(cfg: ExperimentConfig, threads: int) -> list:

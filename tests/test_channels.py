@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenolab.channels import (
     Dephasing,
@@ -7,6 +9,7 @@ from zenolab.channels import (
     KrausChannel,
     Superoperator,
     apply,
+    attenuator_deviation,
     attenuator_generator,
     attenuator_kraus,
     attenuator_mixing_bound,
@@ -21,7 +24,7 @@ from zenolab.channels import (
     vacuum_projection_superop,
 )
 from zenolab.fock import coherent_vector, particle_number, trace_distance, vacuum_state
-from zenolab.linalg import matrix_exp, trace_norm
+from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 
 RNG = np.random.default_rng(31337)
 
@@ -104,6 +107,43 @@ def test_attenuator_trace_preserving_exactly():
         ch = attenuator_kraus(eta, 12)
         total = sum(k.conj().T @ k for k in ch.kraus_ops)
         assert np.linalg.norm(total - np.eye(12)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=16),
+    radius=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    angle=st.floats(min_value=-np.pi, max_value=np.pi),
+    n=st.integers(min_value=1, max_value=64),
+    level=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attenuator_deviation_matches_dense_superoperator(d, radius, angle, n, level, seed):
+    # the dense oracle: (Phi_{eta^n} - P) vec(rho) with Phi built from its Kraus list
+    eta = radius * complex(np.cos(angle), np.sin(angle))
+    if level is None:
+        g = np.random.default_rng(seed).normal(size=(d, d, 2)) @ [1, 1j]
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+    else:
+        rho = fock_projector(level % d, d)
+    dense = to_superoperator(attenuator_kraus(eta**n, d)).matrix - vacuum_projection_superop(d).matrix
+    expected = devectorize(dense @ vectorize(rho))
+    with np.errstate(divide="raise", invalid="raise"):
+        got = attenuator_deviation(eta**n, rho[None])
+    assert got.shape == (1, d, d)
+    assert np.abs(got[0] - expected).max() <= 1e-12
+
+
+def test_attenuator_deviation_batch_and_contract():
+    states = np.stack([rand_state(9), fock_projector(4, 9), rand_state(9, support=3)])
+    batch = attenuator_deviation(0.6 - 0.2j, states)
+    for rho, dev in zip(states, batch):
+        assert np.array_equal(attenuator_deviation(0.6 - 0.2j, rho[None])[0], dev)
+        assert abs(np.trace(dev)) <= 1e-15  # trace preserving, minus a trace-preserving limit
+    with pytest.raises(ValueError):
+        attenuator_deviation(1.2, states)
+    with pytest.raises(ValueError):
+        attenuator_deviation(0.5, states[0])  # a single matrix is not a batch
 
 
 def test_kraus_constructor_rejects_non_trace_preserving():

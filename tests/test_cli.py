@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from zenolab import cli
+from zenolab import cli, experiments
 from zenolab.cli import main
 
 GOOD = """
@@ -130,3 +130,38 @@ def test_oversized_config_exits_2_before_running(tmp_path, capsys, monkeypatch, 
     assert main(["--out", str(tmp_path), "run", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {field}:" in err and "physical memory" in err
+
+
+def test_mixing_at_dimension_128_runs(tmp_path):
+    # the dense estimate charged 9 * 16 * 128^4 bytes (38 GiB); mixing holds no superoperator
+    cfg = tmp_path / "mix128.ini"
+    cfg.write_text(GOOD.replace("dimension = 6", "dimension = 128"))
+    assert main(["--out", str(tmp_path), "run", str(cfg)]) == 0
+    with open(tmp_path / "cli-mixing.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 8
+    assert all(float(r["error"]) <= float(r["bound"]) + 1e-15 for r in rows)
+
+
+def test_oversized_mixing_config_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized config reached the run")
+
+    # one byte less than the mixing estimate at d = 128 with GOOD's two states
+    need = experiments._LIVE_MIXING_ARRAYS * (2 + 1) * 16 * 128**2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    path = tmp_path / "big-mixing.ini"
+    path.write_text(GOOD.replace("dimension = 6", "dimension = 128"))
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: experiment.dimension:" in err and "physical memory" in err
+
+
+def test_binomial_system_dim_below_two_exits_2(tmp_path, capsys):
+    path = tmp_path / "tiny.ini"
+    path.write_text("[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 1\n[states]\nspecs = random:0\n")
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    assert "config error: binomial.system_dim:" in capsys.readouterr().err
+    assert not (tmp_path / "binomial.csv").exists()

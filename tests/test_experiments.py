@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ def test_size_check_counts_live_dense_matrices(monkeypatch):
     assert parse_config_text(simplex).dimension == 4000  # holds no dense matrix
 
 
+def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
+    # memory for exactly 5 (S + 1) d x d complex arrays at d = 100 and S = 2
+    # admits d = 100, not d = 101 or a third state; a zeno run of that size
+    # keeps the dense 9 * 16 d^4 estimate
+    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MIXING_ARRAYS * 3 * 100**2}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    mixing = MINI_MIXING.replace("dimension = 8", "dimension = 100")
+    assert parse_config_text(mixing).dimension == 100
+    for text in (
+        mixing.replace("= 100", "= 101"),
+        mixing.replace("random:0", "random:0, random:1"),
+        MINI_ZENO.replace("dimension = 10", "dimension = 100"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == "experiment.dimension"
+
+
 def test_parse_rejects_unknown_kind():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINI_ZENO.replace("kind = zeno", "kind = warp"))
@@ -197,6 +216,43 @@ def test_run_mixing_rows_respect_bound():
     # sorted by (parameter, state_id)
     keys = [(r.parameter, r.state_id) for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("d", [32, 128])
+@pytest.mark.parametrize("eta", ["eta_re = 0.8", "eta_re = 0.6\neta_im = -0.5"])
+def test_mixing_fock_rows_match_closed_form(d, eta):
+    # ||Phi_{eta^n}(|k><k|) - |0><0|||_1 = 2(1 - (1 - |eta|^{2n})^k); at n = 64
+    # it is near 1e-12, where rounding 1 - |eta|^2 first would cost 1e-4 of it
+    text = (
+        MINI_MIXING.replace("dimension = 8", f"dimension = {d}")
+        .replace("eta_re = 0.7", eta)
+        .replace("count = 5", "count = 7")
+        .replace("fock:1, random:0", f"fock:1, fock:2, fock:7, fock:{d - 1}")
+    )
+    cfg = parse_config_text(text)
+    rows = run_experiment(cfg)
+    assert len(rows) == 7 * 4
+    for row in rows:
+        k, n = int(row.state_id.partition(":")[2]), int(row.parameter)
+        exact = -2.0 * np.expm1(k * np.log1p(-abs(cfg.eta) ** (2 * n)))
+        assert abs(row.error - exact) <= 1e-14 * exact, row
+
+
+def test_mixing_runs_without_a_superoperator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mixing run built a superoperator")
+
+    monkeypatch.setattr(experiments, "to_superoperator", refuse)
+    d = 40
+    cfg = parse_config_text(MINI_MIXING.replace("dimension = 8", f"dimension = {d}"))
+    tracemalloc.start()
+    try:
+        rows = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5 * 2
+    assert peak <= 16 * d**4 / 10  # a tenth of one d^2 x d^2 complex matrix
 
 
 def test_run_zeno_produces_fits_and_envelope():
