@@ -2,12 +2,9 @@
 of truncated bosonic systems, built on dense superoperator arithmetic."""
 
 from .linalg import (
-    SpectralData,
     adjoint,
     devectorize,
-    herm_eig,
     kron,
-    matmul,
     matrix_exp,
     singular_values,
     trace_norm,
@@ -43,12 +40,10 @@ from .channels import (
     vacuum_projection_superop,
 )
 from .binomial import (
-    MatrixPolynomial,
     binomial_product,
     expansion_term_enumerated,
     expansion_terms,
     expansion_terms_applied,
-    poly_mul_truncated,
     restricted_count,
     restricted_count_enumerated,
     restricted_difference_bound_check,

@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import as_matrix, matrix_power, trace_norm
 
 __all__ = [
-    "MatrixPolynomial",
     "SimplexBoundCheck",
     "simplex_count",
     "simplex_count_enumerated",
@@ -26,7 +25,6 @@ __all__ = [
     "restricted_count",
     "restricted_count_enumerated",
     "restricted_difference_bound_check",
-    "poly_mul_truncated",
     "expansion_terms",
     "expansion_terms_applied",
     "expansion_term_enumerated",
@@ -129,49 +127,6 @@ def restricted_difference_bound_check(n: int, k: int, lower_bounds) -> SimplexBo
     return SimplexBoundCheck(
         ratio=float(diff), limit=0.0, bound=float(bound), holds=diff <= bound
     )
-
-
-@dataclass(frozen=True)
-class MatrixPolynomial:
-    """Polynomial in a formal scalar with matrix (or vector) coefficients."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("polynomial needs at least the constant coefficient")
-        coeffs = tuple(np.asarray(c, dtype=np.complex128) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def poly_mul_truncated(
-    p: MatrixPolynomial, q: MatrixPolynomial, max_degree: int
-) -> MatrixPolynomial:
-    """Cauchy product of p and q, truncated at ``max_degree``."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    if p.coefficients[0].shape[-1] != q.coefficients[0].shape[0]:
-        raise ValueError("polynomial coefficient dimensions do not match")
-    out = []
-    for deg in range(max_degree + 1):
-        acc = None
-        for i in range(deg + 1):
-            j = deg - i
-            if i > p.max_degree or j > q.max_degree:
-                continue
-            term = p.coefficients[i] @ q.coefficients[j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = np.zeros(
-                (p.coefficients[0].shape[0], q.coefficients[0].shape[-1]),
-                dtype=np.complex128,
-            )
-        out.append(acc)
-    return MatrixPolynomial(coefficients=tuple(out))
 
 
 def _expansion_coefficients(m, scaled, n: int, k_max: int, seed) -> list:

@@ -30,7 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical sweeps for mixing, Zeno and strong-damping limits.",
     )
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers for the sweep")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -70,7 +69,7 @@ def main(argv=None) -> int:
 
             cfg = replace(cfg, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
-        rows = run_experiment(cfg, threads=max(1, args.threads))
+        rows = run_experiment(cfg)
         out_name = cfg.output_path or f"{cfg.experiment_id}.csv"
         out_path = os.path.join(args.out, out_name)
         write_csv(rows, out_path)

@@ -3,21 +3,19 @@
 Config files use INI sections (parsed with :mod:`configparser`); the exact
 grammar is documented in the README.  All randomness is derived from one
 64-bit seed through counter-based Philox streams, so a sweep produces
-byte-identical CSV output (wall-time column aside) regardless of thread
-count or execution order.
+byte-identical CSV output (wall-time column aside) on every run.
 """
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import csv
 import io
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -101,9 +99,9 @@ _STREAM_GENERATOR = 2
 _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
 
-# Most d^2 x d^2 complex matrices (16 d^4 bytes each) a one-worker run holds
-# at once, from tracemalloc peaks at d = 16 and 20: 7.7 for zeno and damping,
-# 8.3 for the gapped binomial kind.
+# Most d^2 x d^2 complex matrices (16 d^4 bytes each) a run holds at once,
+# from tracemalloc peaks at d = 16 and 20: 7.7 for zeno and damping, 8.3 for
+# the gapped binomial kind.
 _LIVE_MATRICES = 9
 # Mixing holds no such matrix, only d x d complex arrays: the states, their
 # images and the kernel's temporaries.  The most it holds at once, per test
@@ -189,7 +187,7 @@ def _get(parser, section, key, cast, default=None, required=False):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -443,14 +441,6 @@ def generator_norm_probe(cfg: ExperimentConfig) -> zeno.ProbeNorm:
 # the sweep engine and the per-kind runners
 
 
-def _map_tasks(tasks, threads: int):
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 # How _sweep encodes each test state and decodes each image: real
 # Hermitian-basis coordinates, column-stacked vectors, or the matrix itself.
 _HERMITIAN = (herm_vectorize, herm_devectorize)
@@ -458,33 +448,29 @@ _COLUMNS = (vectorize, devectorize)
 _OPERATORS = (np.asarray, np.asarray)
 
 
-def _sweep(grid, act, states, threads: int, encoding) -> list:
+def _sweep(grid, act, states, encoding) -> list:
     """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
 
     ``act(x, batch)`` returns the images, under the map at ``x`` minus its
     limit, of the states encoded by ``encoding`` (a pair from ``_HERMITIAN``,
-    ``_COLUMNS`` and ``_OPERATORS``), one per state.  Each grid point is one
-    task of ``_map_tasks``.  A record's ``wall_time_s`` is an even share of
-    its point's ``act`` time plus its own error evaluation, so a run's
-    records sum to its sweep.
+    ``_COLUMNS`` and ``_OPERATORS``), one per state.  The grid points run
+    in order, one after another.  A record's ``wall_time_s`` is an even
+    share of its point's ``act`` time plus its own error evaluation, so a
+    run's records sum to its sweep.
     """
     encode, decode = encoding
     batch = [encode(rho) for _, rho in states]
-
-    def point(x):
+    records = []
+    for x in grid:
         started = time.perf_counter()
         images = act(x, batch)
         share = (time.perf_counter() - started) / len(states)
-        records = []
         for (state_id, _), image in zip(states, images):
             started = time.perf_counter()
             err = trace_norm(decode(image))
             wall = share + time.perf_counter() - started
             records.append(ConvergenceRecord(float(x), err, None, state_id, wall))
-        return records
-
-    chunks = _map_tasks([partial(point, x) for x in grid], threads)
-    return [record for chunk in chunks for record in chunk]
+    return records
 
 
 def _matrix_action(deviation):
@@ -537,15 +523,17 @@ def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
     return rows
 
 
-def _run_mixing(cfg: ExperimentConfig, threads: int) -> list:
+def _run_mixing(cfg: ExperimentConfig) -> list:
     _, d = _state_dim(cfg)
     states = build_states(cfg, d)
 
     def act(n, batch):
-        # Phi^n is the channel at eta^n (semigroup property)
-        return attenuator_deviation(cfg.eta**n, batch)
+        # Phi^n is the channel at eta^n (semigroup property).  The polar form
+        # keeps |eta^n| to about an ulp; ``eta**n`` squares its way to n/2 ulp.
+        eta_n = cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta))
+        return attenuator_deviation(eta_n, batch)
 
-    records = _sweep(cfg.grid(), act, states, threads, _OPERATORS)
+    records = _sweep(cfg.grid(), act, states, _OPERATORS)
     rho = dict(states)
     records = [
         replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
@@ -554,7 +542,7 @@ def _run_mixing(cfg: ExperimentConfig, threads: int) -> list:
     return _rows(cfg, records)
 
 
-def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
+def _run_zeno(cfg: ExperimentConfig) -> list:
     # Every map here preserves Hermiticity, so the sweep runs on the real
     # Hermitian-basis matrices (see zenolab.linalg).
     m, p, dim = _build_mixing_pair(cfg)
@@ -569,11 +557,11 @@ def _run_zeno(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(n):
         return matrix_power(m @ matrix_exp((cfg.t / n) * l), n) - eff
 
-    records = _sweep(grid, _matrix_action(deviation), states, threads, _HERMITIAN)
+    records = _sweep(grid, _matrix_action(deviation), states, _HERMITIAN)
     return _rows(cfg, records, "power_log")
 
 
-def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
+def _run_damping(cfg: ExperimentConfig) -> list:
     # Real Hermitian-basis matrices throughout, as in _run_zeno.
     _, d = _state_dim(cfg)
     k = attenuator_generator(d)
@@ -589,11 +577,11 @@ def _run_damping(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(gamma):
         return matrix_exp(cfg.t * (gamma * k + l)) - eff
 
-    records = _sweep(grid, _matrix_action(deviation), states, threads, _HERMITIAN)
+    records = _sweep(grid, _matrix_action(deviation), states, _HERMITIAN)
     return _rows(cfg, records, "power_log")
 
 
-def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
+def _run_binomial(cfg: ExperimentConfig) -> list:
     _, s = _state_dim(cfg)
     if cfg.binomial_mode == "exp-limit":
         m_mat = np.eye(s * s, dtype=np.complex128)
@@ -611,12 +599,11 @@ def _run_binomial(cfg: ExperimentConfig, threads: int) -> list:
     def deviation(n):
         return bn.binomial_product(m_mat, l_mat, n) - target
 
-    records = _sweep(cfg.grid(), _matrix_action(deviation), states, threads, _COLUMNS)
+    records = _sweep(cfg.grid(), _matrix_action(deviation), states, _COLUMNS)
     return _rows(cfg, records, fit_model)
 
 
-def _run_simplex(cfg: ExperimentConfig, threads: int) -> list:
-    del threads  # counting is cheap; no parallel map needed
+def _run_simplex(cfg: ExperimentConfig) -> list:
     records = []
     for n in cfg.grid():
         for k in range(1, min(n, cfg.k_max) + 1):
@@ -637,10 +624,10 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
+def run_experiment(cfg: ExperimentConfig) -> list:
     """Execute the sweep; rows come back sorted by (parameter, state_id)."""
     try:
-        rows = _RUNNERS[cfg.kind](cfg, threads)
+        rows = _RUNNERS[cfg.kind](cfg)
     except ValueError as exc:
         # engine-level contract breaches surface as invariant violations
         raise InvariantViolation(cfg.kind, str(exc)) from exc

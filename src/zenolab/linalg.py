@@ -52,20 +52,16 @@ changes the 1-norm of any column by at most ``sqrt(2) * D * FLOOR``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, factorial, log2
 
 import numpy as np
 
 __all__ = [
-    "SpectralData",
     "as_matrix",
-    "matmul",
     "adjoint",
     "kron",
     "vectorize",
     "devectorize",
-    "herm_eig",
     "singular_values",
     "trace_norm",
     "matrix_exp",
@@ -90,15 +86,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def adjoint(a) -> np.ndarray:
@@ -126,35 +113,6 @@ def devectorize(v) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a square matrix")
     return v.reshape((d, d), order="F")
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen- or singular-value data, sorted descending.
-
-    ``values`` are real; ``vectors`` (when present) holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def herm_eig(a, rel_tol: float = 1e-8) -> SpectralData:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises ValueError if ``a`` deviates from Hermitian by more than
-    ``rel_tol`` relative Frobenius norm.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("herm_eig requires a square matrix")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > rel_tol * max(scale, 1e-300):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    return SpectralData(values=w[order], vectors=v[:, order])
 
 
 def singular_values(a) -> np.ndarray:

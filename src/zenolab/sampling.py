@@ -2,7 +2,7 @@
 
 Every random object is drawn from its own counter-based Philox stream keyed
 by (seed, stream index), so results never depend on evaluation order and
-parallel sweeps reproduce the serial output bit for bit.
+every run reproduces the same output bit for bit.
 """
 
 from __future__ import annotations

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from zenolab.binomial import (
-    MatrixPolynomial,
     binomial_product,
     expansion_term_enumerated,
     expansion_terms,
     expansion_terms_applied,
-    poly_mul_truncated,
     restricted_count,
     restricted_count_enumerated,
     restricted_difference_bound_check,
@@ -104,49 +102,6 @@ def test_restricted_difference_bound():
         bounds = [int(b) for b in RNG.integers(0, 6, size=k + 1)]
         check = restricted_difference_bound_check(n, k, bounds)
         assert check.holds
-
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic
-
-
-def test_poly_mul_truncated_square():
-    a = rand_complex(3)
-    eye = np.eye(3, dtype=complex)
-    p = MatrixPolynomial(coefficients=(eye, a))
-    sq = poly_mul_truncated(p, p, 1)
-    assert sq.max_degree == 1
-    assert np.allclose(sq.coefficients[0], eye)
-    assert np.allclose(sq.coefficients[1], 2 * a)
-
-
-def test_poly_mul_truncated_constant():
-    a, b = rand_complex(3), rand_complex(3)
-    p = MatrixPolynomial(coefficients=(a,))
-    q = MatrixPolynomial(coefficients=(b, rand_complex(3)))
-    out = poly_mul_truncated(p, q, 0)
-    assert out.max_degree == 0
-    assert np.allclose(out.coefficients[0], a @ b)
-
-
-def test_poly_mul_full_expansion():
-    a, b = rand_complex(2), rand_complex(2)
-    eye = np.eye(2, dtype=complex)
-    out = poly_mul_truncated(
-        MatrixPolynomial(coefficients=(eye, a)),
-        MatrixPolynomial(coefficients=(eye, b)),
-        2,
-    )
-    assert np.allclose(out.coefficients[0], eye)
-    assert np.allclose(out.coefficients[1], a + b)
-    assert np.allclose(out.coefficients[2], a @ b)
-
-
-def test_poly_mul_dimension_guard():
-    p = MatrixPolynomial(coefficients=(np.eye(2, dtype=complex),))
-    q = MatrixPolynomial(coefficients=(np.eye(3, dtype=complex),))
-    with pytest.raises(ValueError):
-        poly_mul_truncated(p, q, 1)
 
 
 # ---------------------------------------------------------------------------

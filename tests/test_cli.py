@@ -165,3 +165,19 @@ def test_binomial_system_dim_below_two_exits_2(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "run", str(path)]) == 2
     assert "config error: binomial.system_dim:" in capsys.readouterr().err
     assert not (tmp_path / "binomial.csv").exists()
+
+
+@pytest.mark.parametrize("exp_id", ["run-50%", "%(kind)s-x"])
+def test_percent_in_a_config_value_is_literal(tmp_path, exp_id):
+    path = tmp_path / "percent.ini"
+    path.write_text(f"[experiment]\nkind = simplex\nid = {exp_id}\n")
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 0
+    with open(tmp_path / f"{exp_id}.csv", newline="") as handle:
+        assert {r["experiment_id"] for r in csv.DictReader(handle)} == {exp_id}
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--threads", "2", "run", "attenuator-mixing"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "attenuator-mixing.csv").exists()

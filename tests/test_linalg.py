@@ -22,12 +22,11 @@ from zenolab.linalg import (
     _flush_underflow,
     _taylor_degree,
     adjoint,
+    as_matrix,
     devectorize,
     herm_devectorize,
-    herm_eig,
     herm_vectorize,
     kron,
-    matmul,
     matrix_exp,
     matrix_power,
     singular_values,
@@ -46,29 +45,13 @@ def rand_complex(rows, cols=None):
     return RNG.normal(size=(rows, cols)) + 1j * RNG.normal(size=(rows, cols))
 
 
-def test_matmul_identity():
-    a = rand_complex(3)
-    assert np.allclose(matmul(np.eye(3), a), a)
-
-
-def test_matmul_nilpotent_square_is_zero():
-    n = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert np.allclose(matmul(n, n), np.zeros((2, 2)))
-
-
-def test_matmul_diagonal():
-    assert np.allclose(matmul(np.diag([2.0, 3.0]), np.diag([5.0, 7.0])), np.diag([10.0, 21.0]))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(rand_complex(2, 3), rand_complex(2, 3))
-
-
-def test_matmul_rejects_nan():
-    bad = np.array([[np.nan, 0], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        matmul(bad, np.eye(2))
+def test_as_matrix_rejects_non_finite():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for check in (as_matrix, vectorize, trace_norm):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(m)
 
 
 def test_adjoint_conjugates():
@@ -119,35 +102,6 @@ def test_vectorize_rejects_non_square():
         vectorize(rand_complex(2, 3))
     with pytest.raises(ValueError):
         devectorize(np.arange(6, dtype=complex))
-
-
-def test_herm_eig_diagonal():
-    assert np.allclose(herm_eig(np.diag([3.0, 1.0])).values, [3.0, 1.0])
-
-
-def test_herm_eig_pauli_x():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(herm_eig(x).values, [1.0, -1.0])
-
-
-def test_herm_eig_trace_identity():
-    g = rand_complex(8)
-    h = g + g.conj().T
-    data = herm_eig(h)
-    assert abs(data.values.sum() - np.trace(h).real) <= 1e-10
-
-
-def test_herm_eig_reconstruction_residual():
-    g = rand_complex(12)
-    h = g + g.conj().T
-    data = herm_eig(h)
-    recon = (data.vectors * data.values) @ data.vectors.conj().T
-    assert np.linalg.norm(recon - h) <= 1e-10 * np.linalg.norm(h)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_trace_norm_diagonal():
