@@ -29,6 +29,7 @@ from .channels import (
     attenuator_generator,
     attenuator_kraus,
     attenuator_mixing_bound,
+    damped_action,
     to_superoperator,
     vacuum_projection_superop,
 )
@@ -388,12 +389,13 @@ def build_states(cfg: ExperimentConfig, dim: int) -> list:
     return states
 
 
-def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
-    scale = cfg.generator_scale if cfg.generator_scale is not None else 1.0 / dim
+def _generator_parts(cfg: ExperimentConfig, dim: int) -> tuple:
+    """``(H, r)``: the run's generator is ``-i[H, .]`` (none when ``H`` is None) plus dephasing at rate ``r``."""
     if cfg.generator_type == "none":
-        return Superoperator(matrix=np.zeros((dim * dim, dim * dim), dtype=np.complex128), label="zero")
+        return None, 0.0
     if cfg.generator_type == "dephasing":
-        return Dephasing(rate=cfg.dephasing_rate).to_superoperator(dim)
+        return None, cfg.dephasing_rate
+    scale = cfg.generator_scale if cfg.generator_scale is not None else 1.0 / dim
     if cfg.hamiltonian_kind == "quadrature":
         a = annihilation(dim)
         h = (a + a.conj().T) * scale
@@ -401,7 +403,16 @@ def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
         h = number_operator(dim) * scale
     else:  # random
         h = random_hermitian(dim, stream(cfg.seed, _STREAM_GENERATOR), norm=scale)
-    return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
+    return h, 0.0
+
+
+def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
+    h, rate = _generator_parts(cfg, dim)
+    if h is not None:
+        return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
+    if cfg.generator_type == "dephasing":
+        return Dephasing(rate=rate).to_superoperator(dim)
+    return Superoperator(matrix=np.zeros((dim * dim, dim * dim), dtype=np.complex128), label="zero")
 
 
 def _state_dim(cfg: ExperimentConfig) -> tuple:
@@ -562,22 +573,32 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
 
 
 def _run_damping(cfg: ExperimentConfig) -> list:
-    # Real Hermitian-basis matrices throughout, as in _run_zeno.
+    # validate() and the limit exp(t PLP) P run once on the real
+    # Hermitian-basis matrices, as in _run_zeno; each grid point applies
+    # exp(t (gamma K + L)) to the states matrix-free (damped_action), so the
+    # dense matrices are dropped before the sweep.
     _, d = _state_dim(cfg)
-    k = attenuator_generator(d)
-    p = vacuum_projection_superop(d)
-    l = _build_generator(cfg, d)
+    h, rate = _generator_parts(cfg, d)
     states = build_states(cfg, d)
     grid = cfg.grid()
-    dcfg = DampingConfig(k=k, l=l, p=p, t=cfg.t, gamma_grid=grid, test_states=states)
+    dcfg = DampingConfig(
+        k=attenuator_generator(d),
+        l=_build_generator(cfg, d),
+        p=vacuum_projection_superop(d),
+        t=cfg.t,
+        gamma_grid=grid,
+        test_states=states,
+    )
     dcfg.validate()
-    k, l, p = dcfg.hermitian
+    _, l, p = dcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
+    limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
+    del dcfg, l, p, eff
 
-    def deviation(gamma):
-        return matrix_exp(cfg.t * (gamma * k + l)) - eff
+    def act(gamma, batch):
+        return damped_action(gamma, cfg.t, batch, h, rate) - limits
 
-    records = _sweep(grid, _matrix_action(deviation), states, _HERMITIAN)
+    records = _sweep(grid, act, states, _OPERATORS)
     return _rows(cfg, records, "power_log")
 
 

@@ -22,8 +22,9 @@ state has real coordinates ``U^H vec(X)``: :func:`to_hermitian_basis`,
 that basis in ``O(d^4)`` index arithmetic on the pairs ``c1 = i + j d``,
 ``c2 = j + i d``, without forming ``U``.  Every map of the Zeno and
 strong-damping sweeps is Hermiticity-preserving (channels, Lindblad and
-Hamiltonian generators, the fixed-point projections), so those sweeps run
-as real ``dgemm`` products, about four times cheaper than ``zgemm``.  Maps
+Hamiltonian generators, the fixed-point projections), so the Zeno sweep and
+the checks and limit of the damping sweep run as real ``dgemm`` products,
+about four times cheaper than ``zgemm``.  Maps
 that are not, such as the random generators of the binomial experiments,
 stay complex.
 

@@ -8,9 +8,12 @@ The products and errors here (``zeno_product``, ``damped_evolution``,
 ``zeno_error``, ``damping_error``) use the complex column-stacking
 matrices and accept any linear maps; they are also the dense reference the
 tests hold the sweeps to.  The checks of ``ZenoConfig.validate`` and
-``DampingConfig.validate``, and the sweeps of :mod:`zenolab.experiments`,
-run on the real Hermitian-basis forms of ``ZenoConfig.hermitian`` and
-``DampingConfig.hermitian``, which exist for Hermiticity-preserving maps.
+``DampingConfig.validate``, the zeno sweep of :mod:`zenolab.experiments`
+and the limit of its damping sweep run on the real Hermitian-basis forms
+of ``ZenoConfig.hermitian`` and ``DampingConfig.hermitian``, which exist
+for Hermiticity-preserving maps.  The damping sweep applies
+``exp(t(gamma K + L))`` matrix-free
+(:func:`zenolab.channels.damped_action`).
 """
 
 from __future__ import annotations
@@ -242,7 +245,13 @@ def zeno_error(cfg: ZenoConfig, n: int, rho, state_id: str = "", effective=None)
 
 
 def damped_evolution(cfg: DampingConfig, gamma: float, x) -> np.ndarray:
-    """exp(t (gamma K + L)) applied to x."""
+    """exp(t (gamma K + L)) applied to x, by one dense exponential.
+
+    The dense reference for any K and L: the damping sweep of
+    :mod:`zenolab.experiments` runs the matrix-free
+    :func:`zenolab.channels.damped_action` instead, and the tests hold it
+    to this.
+    """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     total = matrix_exp(cfg.t * (gamma * cfg.k.matrix + cfg.l.matrix))

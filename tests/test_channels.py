@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenolab import channels
 from zenolab.channels import (
     Dephasing,
     HamiltonianCommutator,
@@ -15,6 +19,7 @@ from zenolab.channels import (
     attenuator_mixing_bound,
     cesaro_mean,
     choi_matrix,
+    damped_action,
     identity_superoperator,
     is_completely_positive,
     mixing_speed_empirical,
@@ -23,8 +28,10 @@ from zenolab.channels import (
     transpose_superoperator,
     vacuum_projection_superop,
 )
-from zenolab.fock import coherent_vector, particle_number, trace_distance, vacuum_state
+from zenolab.fock import annihilation, coherent_vector, number_operator, particle_number, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
+from zenolab.sampling import random_hermitian
+from zenolab.zeno import DampingConfig, damped_evolution, effective_dynamics
 
 RNG = np.random.default_rng(31337)
 
@@ -424,3 +431,134 @@ def test_dephasing_rejects_negative_rate():
 def test_superoperator_shape_guard():
     with pytest.raises(ValueError):
         Superoperator(matrix=np.eye(5))
+
+
+# ---------------------------------------------------------------------------
+# the damped action exp(t (gamma K + L)) by the contour integral
+
+
+def damping_states(d, seed):
+    """The top Fock level (the longest jump chain), coherent:1.5 and a full-rank random state."""
+    g = np.random.default_rng(seed).normal(size=(d, d, 2)) @ [1, 1j]
+    random = g @ g.conj().T
+    return np.stack([fock_projector(d - 1, d), coherent_vector(1.5, d).projector(), random / np.trace(random)])
+
+
+def commuting_closed_form(states, gamma, t, factor):
+    """``Phi_{e^{-gamma t}}(e^{tL} x)`` for an ``L`` that commutes with ``K``:
+    ``e^{tL}`` multiplies entry ``(m, n)`` by ``factor[m, n]``."""
+    x = states * factor
+    out = attenuator_deviation(np.exp(-gamma * t), x)
+    out[:, 0, 0] += np.trace(x, axis1=1, axis2=2)
+    return out
+
+
+@pytest.mark.parametrize("generator", ["number", "dephasing"])
+@pytest.mark.parametrize("gamma, t", [(0.02, 2.5), (0.3, 1.0), (2048.0, 1.0)])
+def test_damped_action_matches_commuting_closed_form_at_d64(generator, gamma, t):
+    # K commutes with -i[s N, .] and with dephasing, so exp(t(gamma K + L)) is
+    # the attenuator at e^{-gamma t} after exp(tL), which multiplies entry
+    # (m, n) by e^{-i t s (m - n)} or e^{-t r (m - n)^2 / 2}.  No dense oracle
+    # runs at d = 64.  t gamma = 0.3 is where one step of the quadrature is
+    # worst on |63><63| (1.2e-8 off); the weak-damping substeps must fix it.
+    d = 64
+    states = damping_states(d, 64)
+    charge = np.subtract.outer(np.arange(d), np.arange(d))
+    if generator == "number":
+        s = 0.05  # 2 t ||H||_2 = 6.3 t: several substeps
+        got = damped_action(gamma, t, states, hamiltonian=s * number_operator(d))
+        factor = np.exp(-1j * t * s * charge)
+    else:
+        r = 0.3
+        got = damped_action(gamma, t, states, dephasing_rate=r)
+        factor = np.exp(-t * r * charge**2 / 2)
+    expected = commuting_closed_form(states, gamma, t, factor)
+    for g, e in zip(got, expected):
+        assert trace_norm(g - e) <= 1e-12
+
+
+def generator_parts(kind, d, scale, seed):
+    """``(H, dephasing rate, L)`` of one generator kind, ``L`` as a dense Superoperator."""
+    if kind == "dephasing":
+        return None, scale, Dephasing(rate=scale).to_superoperator(d)
+    if kind == "none":
+        return None, 0.0, Superoperator(matrix=np.zeros((d * d, d * d)))
+    if kind == "quadrature":
+        a = annihilation(d)
+        h = scale * (a + a.conj().T)
+    elif kind == "number":
+        h = scale * number_operator(d)
+    else:
+        h = random_hermitian(d, np.random.default_rng(seed), norm=scale)
+    return h, 0.0, HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=12),
+    kind=st.sampled_from(["quadrature", "number", "random", "dephasing", "none"]),
+    log_gamma=st.floats(min_value=math.log(0.01), max_value=math.log(4096)),
+    t=st.floats(min_value=0.1, max_value=5.0),
+    # scipy's expm returns NaN for a generator with entries near the
+    # underflow threshold (2.2e-308), so a scale is either 0 or at least 1e-6
+    scale=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=4.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_damped_action_matches_dense_oracle(d, kind, log_gamma, t, scale, seed):
+    gamma = min(math.exp(log_gamma), 4096.0)
+    h, rate, l = generator_parts(kind, d, scale, seed)
+    k, p = attenuator_generator(d), vacuum_projection_superop(d)
+    cfg = DampingConfig(k=k, l=l, p=p, t=t, gamma_grid=(gamma,), test_states=())
+    limit = effective_dynamics(p, l, t)
+    states = damping_states(d, seed)
+    got = damped_action(gamma, t, states, hamiltonian=h, dephasing_rate=rate)
+    # each substep adds its own quadrature error, about 1e-13 at most
+    spread = 0.0 if h is None else 2 * t * np.linalg.norm(h, 2)
+    steps = max(1 if t * gamma >= 1 else 3, math.ceil(spread / channels._SUBSTEP_SPREAD))
+    # entries against scipy: at gamma t ~ 1e4 the dense matrix_exp itself
+    # drifts by up to 5e-10 entrywise, while its error column stays within
+    # about 1e-13 of scipy's
+    exact = scipy.linalg.expm(t * (gamma * k.matrix + l.matrix))
+    for x, y in zip(states, got):
+        lim = apply(limit, x)
+        dense = damped_evolution(cfg, gamma, x)
+        assert abs(trace_norm(y - lim) - trace_norm(dense - lim)) <= 1e-12 * steps
+        assert np.abs(y - devectorize(exact @ vectorize(x))).max() <= 1e-10
+
+
+def test_contour_points_are_pinned(monkeypatch):
+    # exp(0.3 K) at d = 48 against the exact attenuator at e^{-0.3}: the
+    # attenuator generator's jump chains are close to defective and amplify
+    # the quadrature's error in the Taylor coefficients of e^z, most on
+    # |47><47|.  48 nodes keep the trace-norm error near 5e-14; 40 nodes
+    # miss 1e-12 by about ten times, substeps and all.
+    d = 48
+    states = damping_states(d, 48)
+    expected = commuting_closed_form(states, 0.3, 1.0, 1.0)
+
+    def worst():
+        return max(trace_norm(g - e) for g, e in zip(damped_action(0.3, 1.0, states), expected))
+
+    assert channels._CONTOUR_POINTS == 48
+    assert worst() <= 1e-12
+    monkeypatch.setattr(channels, "_CONTOUR_POINTS", 40)
+    assert worst() > 1e-12
+
+
+def test_damped_action_contract():
+    states = damping_states(6, 1)
+    batch = damped_action(4.0, 0.5, states, hamiltonian=0.2 * number_operator(6), dephasing_rate=0.1)
+    assert batch.shape == states.shape
+    for x, y in zip(states, batch):
+        assert np.array_equal(y, y.conj().T)  # Hermitian by construction
+        assert abs(np.trace(y) - np.trace(x)) <= 1e-13  # trace preserving
+        alone = damped_action(4.0, 0.5, x[None], 0.2 * number_operator(6), 0.1)[0]
+        assert np.abs(alone - y).max() <= 1e-14  # the batch changes only the summation order
+    with pytest.raises(ValueError):
+        damped_action(4.0, 0.5, states[0])  # a single matrix is not a batch
+    with pytest.raises(ValueError):
+        damped_action(4.0, 0.5, states + 1j * np.eye(6))  # not Hermitian
+    with pytest.raises(ValueError):
+        damped_action(-1.0, 0.5, states)
+    with pytest.raises(ValueError):
+        damped_action(4.0, 0.5, states, hamiltonian=np.eye(5))

@@ -1,11 +1,14 @@
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenolab import experiments
+from zenolab import experiments, zeno
 from zenolab.channels import Superoperator, attenuator_generator, vacuum_projection_superop
 from zenolab.experiments import (
     CSV_HEADER,
@@ -23,7 +26,7 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
-from zenolab.linalg import matrix_power
+from zenolab.linalg import matrix_exp, matrix_power
 from zenolab.sampling import random_operator, stream
 from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, zeno_error
 
@@ -272,6 +275,50 @@ def test_run_damping_small():
     assert len(rows) == 10
     errs = [r.error for r in rows if r.state_id == "fock:1"]
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+def test_damping_run_exponentiates_only_to_validate_and_limit(monkeypatch):
+    # each grid point applies exp(t (gamma K + L)) matrix-free, so the only
+    # dense exponentials are exp(0.1 K) in validate() and exp(t PLP); the dense
+    # random-Hamiltonian chunks stay inside the size check's 9 * 16 d^4 bytes
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return matrix_exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(zeno, "matrix_exp", counted)
+    monkeypatch.setattr(experiments, "matrix_exp", counted)
+    d = 16
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("quadrature", "random\nscale = 0.4")
+    )
+    cfg = parse_config_text(text)
+    tracemalloc.start()
+    try:
+        rows = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5 * 2
+    assert calls == [(d * d, d * d)] * 2
+    assert peak <= experiments._LIVE_MATRICES * 16 * d**4
+
+
+def test_damping_run_leaves_scipy_unimported(tmp_path):
+    # scipy is a test-only dependency; importing it would cost the CLI time and memory
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; from zenolab.cli import main; "
+        f"assert main(['--out', {str(tmp_path)!r}, 'run', 'attenuator-damping']) == 0; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_binomial_exp_limit():
