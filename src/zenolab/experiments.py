@@ -32,6 +32,7 @@ from .channels import (
     damped_action,
     to_superoperator,
     vacuum_projection_superop,
+    zeno_action,
 )
 from .fock import annihilation, coherent_vector, number_operator
 from .linalg import (
@@ -39,7 +40,6 @@ from .linalg import (
     herm_devectorize,
     herm_vectorize,
     matrix_exp,
-    matrix_power,
     trace_norm,
     vectorize,
 )
@@ -101,8 +101,9 @@ _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
 
 # Most d^2 x d^2 complex matrices (16 d^4 bytes each) a run holds at once,
-# from tracemalloc peaks at d = 16 and 20: 7.7 for zeno and damping, 8.3 for
-# the gapped binomial kind.
+# from tracemalloc peaks at d = 16 and 20: 6.6 to 7.4 for zeno and 7.1 for
+# damping, both reached in validate() and the limit, before the sweep; 8.3
+# for the gapped binomial kind.
 _LIVE_MATRICES = 9
 # Mixing holds no such matrix, only d x d complex arrays: the states, their
 # images and the kernel's temporaries.  The most it holds at once, per test
@@ -452,9 +453,8 @@ def generator_norm_probe(cfg: ExperimentConfig) -> zeno.ProbeNorm:
 # the sweep engine and the per-kind runners
 
 
-# How _sweep encodes each test state and decodes each image: real
-# Hermitian-basis coordinates, column-stacked vectors, or the matrix itself.
-_HERMITIAN = (herm_vectorize, herm_devectorize)
+# How _sweep encodes each test state and decodes each image: column-stacked
+# vectors or the matrix itself.
 _COLUMNS = (vectorize, devectorize)
 _OPERATORS = (np.asarray, np.asarray)
 
@@ -463,8 +463,8 @@ def _sweep(grid, act, states, encoding) -> list:
     """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
 
     ``act(x, batch)`` returns the images, under the map at ``x`` minus its
-    limit, of the states encoded by ``encoding`` (a pair from ``_HERMITIAN``,
-    ``_COLUMNS`` and ``_OPERATORS``), one per state.  The grid points run
+    limit, of the states encoded by ``encoding`` (``_COLUMNS`` or
+    ``_OPERATORS``), one per state.  The grid points run
     in order, one after another.  A record's ``wall_time_s`` is an even
     share of its point's ``act`` time plus its own error evaluation, so a
     run's records sum to its sweep.
@@ -554,21 +554,26 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
 
 
 def _run_zeno(cfg: ExperimentConfig) -> list:
-    # Every map here preserves Hermiticity, so the sweep runs on the real
-    # Hermitian-basis matrices (see zenolab.linalg).
+    # validate() and the limit exp(t PLP) P run once on the real
+    # Hermitian-basis matrices, as in _run_damping; each grid point iterates
+    # the step M exp(tL/n) on the states (zeno_action), so the dense
+    # matrices are dropped before the sweep.
     m, p, dim = _build_mixing_pair(cfg)
-    l = _build_generator(cfg, dim)
+    h, rate = _generator_parts(cfg, dim)
     states = build_states(cfg, dim)
     grid = cfg.grid()
-    zcfg = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=grid, test_states=states)
+    zcfg = ZenoConfig(m=m, l=_build_generator(cfg, dim), p=p, t=cfg.t, n_grid=grid, test_states=states)
     zcfg.validate()
-    m, l, p = zcfg.hermitian
+    _, l, p = zcfg.hermitian
     eff = effective_dynamics(p, l, cfg.t)
+    limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
+    channel = cfg.eta if cfg.channel_type == "attenuator" else m
+    del zcfg, m, l, p, eff
 
-    def deviation(n):
-        return matrix_power(m @ matrix_exp((cfg.t / n) * l), n) - eff
+    def act(n, batch):
+        return zeno_action(n, cfg.t, batch, channel, h, rate) - limits
 
-    records = _sweep(grid, _matrix_action(deviation), states, _HERMITIAN)
+    records = _sweep(grid, act, states, _OPERATORS)
     return _rows(cfg, records, "power_log")
 
 

@@ -22,11 +22,10 @@ state has real coordinates ``U^H vec(X)``: :func:`to_hermitian_basis`,
 that basis in ``O(d^4)`` index arithmetic on the pairs ``c1 = i + j d``,
 ``c2 = j + i d``, without forming ``U``.  Every map of the Zeno and
 strong-damping sweeps is Hermiticity-preserving (channels, Lindblad and
-Hamiltonian generators, the fixed-point projections), so the Zeno sweep and
-the checks and limit of the damping sweep run as real ``dgemm`` products,
-about four times cheaper than ``zgemm``.  Maps
-that are not, such as the random generators of the binomial experiments,
-stay complex.
+Hamiltonian generators, the fixed-point projections), so the checks and
+limits of both sweeps run as real ``dgemm`` products, about four times
+cheaper than ``zgemm``.  Maps that are not, such as the random generators
+of the binomial experiments, stay complex.
 
 :func:`matrix_exp` scales its input by ``2**-s`` to a 1-norm of at most
 1/2, evaluates a Taylor polynomial of a degree fixed in advance by a bound
@@ -210,7 +209,12 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
 
     Scaling: ``x = a / 2**s`` with the least ``s >= 0`` that makes
     ``theta = ||x||_1 <= 1/2``, and ``threshold = tol / 2**(s + 2)`` (at
-    least 1e-300) to absorb the error growth of the ``s`` squarings.
+    least 1e-300), so that the truncation error, grown by the ``s``
+    squarings, stays within ``tol`` in exact arithmetic.  ``tol`` bounds
+    that remainder only.  Rounding in the squarings of a stiff input can
+    exceed it: entries of ``exp(t (gamma K + L))`` with a random Hamiltonian
+    of norm 4 were off by 4.9e-10 against ``scipy.linalg.expm`` at
+    ``gamma = 4096``, ``t = 5`` and ``d = 9`` and 12.
 
     Series: the Taylor polynomial of the least degree ``m`` whose remainder
     bound ``theta^(m+1)/(m+1)! / (1 - theta/(m+2))`` is at most

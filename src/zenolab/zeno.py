@@ -8,12 +8,13 @@ The products and errors here (``zeno_product``, ``damped_evolution``,
 ``zeno_error``, ``damping_error``) use the complex column-stacking
 matrices and accept any linear maps; they are also the dense reference the
 tests hold the sweeps to.  The checks of ``ZenoConfig.validate`` and
-``DampingConfig.validate``, the zeno sweep of :mod:`zenolab.experiments`
-and the limit of its damping sweep run on the real Hermitian-basis forms
-of ``ZenoConfig.hermitian`` and ``DampingConfig.hermitian``, which exist
-for Hermiticity-preserving maps.  The damping sweep applies
-``exp(t(gamma K + L))`` matrix-free
-(:func:`zenolab.channels.damped_action`).
+``DampingConfig.validate`` and the limits of the zeno and damping sweeps of
+:mod:`zenolab.experiments` run on the real Hermitian-basis forms of
+``ZenoConfig.hermitian`` and ``DampingConfig.hermitian``, which exist for
+Hermiticity-preserving maps.  The sweeps themselves apply their maps to the
+test states matrix-free: ``(M exp(tL/n))^n`` by iterating the step
+(:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
+contour integral (:func:`zenolab.channels.damped_action`).
 """
 
 from __future__ import annotations

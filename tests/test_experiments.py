@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zenolab import experiments, zeno
-from zenolab.channels import Superoperator, attenuator_generator, vacuum_projection_superop
+from zenolab.channels import Superoperator, attenuator_generator, vacuum_projection_superop, zeno_action
 from zenolab.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -26,7 +26,7 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
-from zenolab.linalg import matrix_exp, matrix_power
+from zenolab.linalg import matrix_exp
 from zenolab.sampling import random_operator, stream
 from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, zeno_error
 
@@ -394,14 +394,14 @@ count = 4
 
 
 def test_wall_time_covers_each_grid_point(monkeypatch):
-    # each zeno grid point takes one power; slowing it by 20 ms shows in
-    # every row, an even share of it per state, and the rows never add up
-    # to more than the run
-    def slow_power(a, n):
+    # each zeno grid point takes one zeno_action call; slowing it by 20 ms
+    # shows in every row, an even share of it per state, and the rows never
+    # add up to more than the run
+    def slow_action(*args, **kwargs):
         time.sleep(0.02)
-        return matrix_power(a, n)
+        return zeno_action(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "matrix_power", slow_power)
+    monkeypatch.setattr(experiments, "zeno_action", slow_action)
     started = time.perf_counter()
     rows = run_experiment(parse_config_text(MINI_ZENO))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
