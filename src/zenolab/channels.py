@@ -21,6 +21,7 @@ __all__ = [
     "Dephasing",
     "attenuator_kraus",
     "attenuator_deviation",
+    "attenuator_check",
     "damped_action",
     "zeno_action",
     "to_superoperator",
@@ -142,6 +143,41 @@ def _attenuator_apply(products, x: np.ndarray) -> np.ndarray:
         k = d - l
         out[:, :k, :k] += weight * x[:, l:, l:]
     return out
+
+
+def attenuator_check(eta: complex, states, label: str = "M") -> None:
+    """The checks of :meth:`zenolab.zeno.ZenoConfig.validate` for the attenuator at ``eta``, matrix-free.
+
+    With ``P(x) = |0><0| Tr x``, ``P M = P`` is ``sum_l K_l^dag K_l = I``.
+    Each ``K_l`` has at most one nonzero entry per column, so that sum is
+    diagonal, with entry ``j`` the anti-diagonal sum ``sum_{m+l=j} |w_{m,l}|^2``
+    of the weight table of :func:`_attenuator_weights`.  ``M P = P`` is
+    ``|w_{0,0}|^2 = 1``, as only ``K_0`` reads the vacuum.  Both are held to
+    the 1e-9 of the dense check, in the same Frobenius norms of the
+    superoperators: ``||P M - P|| = ||sum_l K_l^dag K_l - I||_F`` and
+    ``||M P - P|| = sqrt(d) | |w_{0,0}|^2 - 1 |``.  That is ``O(d^2)``.
+    Trace-norm contractivity is spot-checked on the ``(state_id, matrix)``
+    pairs ``states`` through the kernel, with the dense check's slack 1e-8.
+    A failed check raises ValueError naming ``label``.
+    """
+    x = _operator_batch([rho for _, rho in states])
+    d = x.shape[1]
+    w = _attenuator_weights(eta, d)
+    levels = np.arange(d)
+    kept = np.abs(w) ** 2
+    sums = np.bincount(np.add.outer(levels, levels).ravel(), weights=kept.ravel())[:d]
+    if np.linalg.norm(sums - 1.0) > 1e-9:
+        j = int(np.argmax(np.abs(sums - 1.0)))
+        raise ValueError(f"P {label} != P within 1e-9: the Kraus weights of level {j} sum to {sums[j]:.17g}")
+    if np.sqrt(d) * abs(kept[0, 0] - 1.0) > 1e-9:
+        raise ValueError(f"{label} P != P within 1e-9: the vacuum weight is {w[0, 0]}")
+    images = _attenuator_apply(_attenuator_products(w), x)
+    for (state_id, rho), image in zip(states, images):
+        before, after = trace_norm(rho), trace_norm(image)
+        if after > before + 1e-8:
+            raise ValueError(
+                f"{label} is not trace-norm contractive on state {state_id!r}: {after:.6e} > {before:.6e}"
+            )
 
 
 def _operator_batch(ops) -> np.ndarray:
@@ -327,8 +363,8 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     # Per node, the elimination keeps as many entries as the blocks hold, and
     # inverting a block briefly takes three more copies of it.  The nodes are
     # eliminated in groups of at most 4 d^4 such entries, the size of four
-    # dense d^2 x d^2 matrices; the size check of zenolab.experiments
-    # charges a damping run nine.
+    # dense d^2 x d^2 matrices, which is what the size check of
+    # zenolab.experiments charges a damping run, plus its d x d arrays.
     per_node = sum(b.size for b in diag) + sum(b.size for b in upper) + 3 * max(b.size for b in diag)
     group = max(1, min(len(z), 4 * d**4 // per_node))
     groups = [slice(lo, lo + group) for lo in range(0, len(z), group)]
@@ -340,6 +376,7 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
         for nodes in groups:
             factors = kept or _eliminate(diag, upper, lower, z[nodes])
             y += np.einsum("p,pns->ns", w[nodes], _substitute(factors, lower, v))
+            del factors  # freed before the next group is eliminated, so one group is held at a time
         x = y.T.reshape(s, d, d)
         x = x + x.conj().transpose(0, 2, 1)
     return x

@@ -15,7 +15,7 @@ from .experiments import (
     InvariantViolation,
     PRESETS,
     emit_plot_script,
-    generator_norm_probe,
+    generator_norm,
     list_presets,
     parse_config,
     preset_config,
@@ -80,8 +80,7 @@ def main(argv=None) -> int:
         for state_id, fitted_c, fitted_p in fits:
             print(f"  {state_id}: fitted C={fitted_c:.4g}, p={fitted_p:.4g}")
         if cfg.kind in ("zeno", "damping"):
-            probe = generator_norm_probe(cfg)
-            print(f"  ||L|| (1->1 probe lower bound): {probe.value:.6g} from {probe.probe_count} probes")
+            print(f"  ||L|| (exact 1->1 norm): {generator_norm(cfg):.6g}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

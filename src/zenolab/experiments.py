@@ -20,18 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import binomial as bn
-from . import zeno
 from .channels import (
     Dephasing,
     HamiltonianCommutator,
     Superoperator,
+    attenuator_check,
     attenuator_deviation,
-    attenuator_generator,
-    attenuator_kraus,
     attenuator_mixing_bound,
     damped_action,
-    to_superoperator,
-    vacuum_projection_superop,
     zeno_action,
 )
 from .fock import annihilation, coherent_vector, number_operator
@@ -52,7 +48,6 @@ from .sampling import (
 )
 from .zeno import (
     ConvergenceRecord,
-    DampingConfig,
     ZenoConfig,
     effective_dynamics,
     fit_log_envelope,
@@ -71,7 +66,7 @@ __all__ = [
     "parse_config_text",
     "preset_config",
     "build_states",
-    "generator_norm_probe",
+    "generator_norm",
     "run_experiment",
     "write_csv",
     "rows_to_csv_text",
@@ -100,16 +95,27 @@ _STREAM_GENERATOR = 2
 _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
 
-# Most d^2 x d^2 complex matrices (16 d^4 bytes each) a run holds at once,
-# from tracemalloc peaks at d = 16 and 20: 6.6 to 7.4 for zeno and 7.1 for
-# damping, both reached in validate() and the limit, before the sweep; 8.3
-# for the gapped binomial kind.
+# The size check charges each run for the complex entries (16 bytes each)
+# it holds at once, from tracemalloc peaks.  The gapped zeno channel and the
+# binomial kind hold dense d^2 x d^2 matrices: at most 9, from peaks at d =
+# 16 and 20 of 6.6 to 7.4 for zeno and 8.3 for the gapped binomial kind.
 _LIVE_MATRICES = 9
-# Mixing holds no such matrix, only d x d complex arrays: the states, their
-# images and the kernel's temporaries.  The most it holds at once, per test
-# state plus one for the weight table, from tracemalloc peaks at d = 64 and
-# 128 with 1, 4 and 8 states: 3.2 to 4.4.
+# Mixing holds only d x d arrays: the states, their images and the kernel's
+# temporaries.  The most it holds at once, per test state plus one for the
+# weight table, from peaks at d = 64 and 128 with 1, 4 and 8 states: 3.2 to 4.4.
 _LIVE_MIXING_ARRAYS = 5
+# An attenuator zeno run holds the d weight products of zeno_action,
+# sum_k k^2 = d(d+1)(2d+1)/6 entries, and d x d arrays: the states, the
+# limits and the step's temporaries.  Past the products, peaks at d = 8 to
+# 128 with 1, 4 and 8 states held at most 9.5 such arrays per state plus one.
+_LIVE_ZENO_ARRAYS = 12
+# A damping run holds one node group of damped_action, at most 4 d^4
+# entries, and for each of its 24 nodes about two d x d arrays per state plus
+# one (the solves' right-hand sides and solutions).  Peaks at d = 6 to 24
+# with 1 to 32 states and every generator reached at most 0.93 of
+# 4 d^4 + 48 (S + 1) d^2.
+_DAMPING_GROUP = 4
+_LIVE_DAMPING_ARRAYS = 48
 
 
 class ConfigError(Exception):
@@ -312,22 +318,36 @@ def _check_grid(cfg: ExperimentConfig) -> None:
         )
 
 
+def _charge(cfg: ExperimentConfig) -> tuple:
+    """``(bytes, what)``: the most memory a zeno, damping, mixing or binomial run holds at once."""
+    _, d = _state_dim(cfg)
+    arrays = len(cfg.state_specs) + 1
+    if cfg.kind == "mixing":
+        count = _LIVE_MIXING_ARRAYS * arrays
+        return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
+    if cfg.kind == "damping":
+        count = _LIVE_DAMPING_ARRAYS * arrays
+        need = _DAMPING_GROUP * d**4 + count * d**2
+        return 16 * need, f"the damping kernel's node group and {count} complex {d}x{d} arrays"
+    if cfg.kind == "zeno" and cfg.channel_type == "attenuator":
+        count = _LIVE_ZENO_ARRAYS * arrays
+        need = d * (d + 1) * (2 * d + 1) // 6 + count * d**2
+        return 16 * need, f"the attenuator's weight products and {count} complex {d}x{d} arrays"
+    return 16 * _LIVE_MATRICES * d**4, f"{_LIVE_MATRICES} dense complex {d * d}x{d * d} matrices"
+
+
 def _check_size(cfg: ExperimentConfig) -> None:
     """The run's arrays fit in physical memory; simplex holds none."""
     if cfg.kind == "simplex":
         return
     field, d = _state_dim(cfg)
-    if cfg.kind == "mixing":
-        count, side = _LIVE_MIXING_ARRAYS * (len(cfg.state_specs) + 1), d
-    else:
-        count, side = _LIVE_MATRICES, d * d
-    need = count * 16 * side**2
+    need, held = _charge(cfg)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ConfigError(
             field,
-            f"d = {d} needs about {need / 2**30:.3g} GiB for {count} dense {side}x{side} "
-            f"complex matrices, more than the {have / 2**30:.3g} GiB of physical memory",
+            f"d = {d} needs about {need / 2**30:.3g} GiB for {held}, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory",
         )
 
 
@@ -430,23 +450,25 @@ def _state_dim(cfg: ExperimentConfig) -> tuple:
     return "experiment.dimension", cfg.dimension
 
 
-def _build_mixing_pair(cfg: ExperimentConfig):
-    """Return (M, P, state_dim) for the configured mixing operation."""
-    _, d = _state_dim(cfg)
-    if cfg.channel_type == "attenuator":
-        m = to_superoperator(attenuator_kraus(cfg.eta, d), label="attenuator")
-        return m, vacuum_projection_superop(d), d
-    m, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
-    return m, p, d
-
-
-def generator_norm_probe(cfg: ExperimentConfig) -> zeno.ProbeNorm:
-    """The 1->1 norm probe (:func:`zenolab.zeno.one_one_norm_probe`) of a run's generator L.
+def generator_norm(cfg: ExperimentConfig) -> float:
+    """The exact 1->1 norm of a run's generator ``L``.
 
     The fitted rate constants of the zeno and damping kinds scale with
-    ``||L||``, so the CLI reports this lower bound next to them.
+    ``||L||``, so the CLI reports it next to them.  For ``L = -i[H, .]`` it
+    is ``lambda_max(H) - lambda_min(H)``: an inner derivation has norm
+    ``2 inf_c ||H - c||`` on bounded operators (Stampfli, Pacific J. Math.
+    33, 1970), which duality carries to the 1->1 norm, attained at
+    ``|u><v|`` for eigenvectors ``u``, ``v`` of the extreme eigenvalues.
+    Dephasing at rate ``r`` is ``-(r/2)[N, [N, .]]``, so its norm is at most
+    ``(r/2)(d - 1)^2`` by the same result for ``N``, and it multiplies
+    ``|0><d-1|`` by exactly that.
     """
-    return zeno.one_one_norm_probe(_build_generator(cfg, _state_dim(cfg)[1]))
+    _, d = _state_dim(cfg)
+    h, rate = _generator_parts(cfg, d)
+    if h is None:
+        return 0.5 * rate * (d - 1) ** 2
+    spectrum = np.linalg.eigvalsh(h)
+    return float(spectrum[-1] - spectrum[0])
 
 
 # ----------------------------------------------------------------------------
@@ -553,22 +575,38 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
     return _rows(cfg, records)
 
 
+def _vacuum_limits(states) -> np.ndarray:
+    """``|0><0| Tr x`` for each state: the limit ``e^{tPLP} P`` of the attenuator runs.
+
+    ``P x = |0><0| Tr x``, and every generator ``L`` of a run preserves the
+    trace, so ``P L P = Tr(L |0><0|) P = 0`` and the limit is ``P`` itself.
+    """
+    d = states[0][1].shape[0]
+    limits = np.zeros((len(states), d, d), dtype=np.complex128)
+    limits[:, 0, 0] = [np.trace(rho).real for _, rho in states]
+    return limits
+
+
 def _run_zeno(cfg: ExperimentConfig) -> list:
-    # validate() and the limit exp(t PLP) P run once on the real
-    # Hermitian-basis matrices, as in _run_damping; each grid point iterates
-    # the step M exp(tL/n) on the states (zeno_action), so the dense
-    # matrices are dropped before the sweep.
-    m, p, dim = _build_mixing_pair(cfg)
-    h, rate = _generator_parts(cfg, dim)
-    states = build_states(cfg, dim)
+    # Each grid point iterates the step M exp(tL/n) on the states
+    # (zeno_action).  The attenuator's validate() and limit are closed forms;
+    # the gapped channel keeps ZenoConfig.validate() and exp(t PLP) P on its
+    # real Hermitian-basis matrices, which are dropped before the sweep.
+    _, d = _state_dim(cfg)
+    h, rate = _generator_parts(cfg, d)
+    states = build_states(cfg, d)
     grid = cfg.grid()
-    zcfg = ZenoConfig(m=m, l=_build_generator(cfg, dim), p=p, t=cfg.t, n_grid=grid, test_states=states)
-    zcfg.validate()
-    _, l, p = zcfg.hermitian
-    eff = effective_dynamics(p, l, cfg.t)
-    limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
-    channel = cfg.eta if cfg.channel_type == "attenuator" else m
-    del zcfg, m, l, p, eff
+    if cfg.channel_type == "attenuator":
+        attenuator_check(cfg.eta, states)
+        channel, limits = cfg.eta, _vacuum_limits(states)
+    else:
+        channel, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
+        zcfg = ZenoConfig(m=channel, l=_build_generator(cfg, d), p=p, t=cfg.t, n_grid=grid, test_states=states)
+        zcfg.validate()
+        _, l, p = zcfg.hermitian
+        eff = effective_dynamics(p, l, cfg.t)
+        limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
+        del zcfg, l, p, eff
 
     def act(n, batch):
         return zeno_action(n, cfg.t, batch, channel, h, rate) - limits
@@ -578,32 +616,21 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
 
 
 def _run_damping(cfg: ExperimentConfig) -> list:
-    # validate() and the limit exp(t PLP) P run once on the real
-    # Hermitian-basis matrices, as in _run_zeno; each grid point applies
-    # exp(t (gamma K + L)) to the states matrix-free (damped_action), so the
-    # dense matrices are dropped before the sweep.
+    # Each grid point applies exp(t (gamma K + L)) to the states matrix-free
+    # (damped_action).  exp(sK) is the attenuator at eta = e^{-s}, so
+    # validate() checks that closed form at s = 0.1, 1 and 10, and the limit
+    # is |0><0| Tr x: no d^2 x d^2 matrix is built.
     _, d = _state_dim(cfg)
     h, rate = _generator_parts(cfg, d)
     states = build_states(cfg, d)
-    grid = cfg.grid()
-    dcfg = DampingConfig(
-        k=attenuator_generator(d),
-        l=_build_generator(cfg, d),
-        p=vacuum_projection_superop(d),
-        t=cfg.t,
-        gamma_grid=grid,
-        test_states=states,
-    )
-    dcfg.validate()
-    _, l, p = dcfg.hermitian
-    eff = effective_dynamics(p, l, cfg.t)
-    limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
-    del dcfg, l, p, eff
+    for s in (0.1, 1.0, 10.0):
+        attenuator_check(math.exp(-s), states, f"exp({s} K)")
+    limits = _vacuum_limits(states)
 
     def act(gamma, batch):
         return damped_action(gamma, cfg.t, batch, h, rate) - limits
 
-    records = _sweep(grid, act, states, _OPERATORS)
+    records = _sweep(cfg.grid(), act, states, _OPERATORS)
     return _rows(cfg, records, "power_log")
 
 

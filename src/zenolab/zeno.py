@@ -7,12 +7,16 @@ exp(t PLP) P, and quantifies convergence rates by log-log least squares.
 The products and errors here (``zeno_product``, ``damped_evolution``,
 ``zeno_error``, ``damping_error``) use the complex column-stacking
 matrices and accept any linear maps; they are also the dense reference the
-tests hold the sweeps to.  The checks of ``ZenoConfig.validate`` and
-``DampingConfig.validate`` and the limits of the zeno and damping sweeps of
-:mod:`zenolab.experiments` run on the real Hermitian-basis forms of
+tests hold the sweeps to.  ``ZenoConfig.validate`` and
+``DampingConfig.validate`` run on the real Hermitian-basis forms of
 ``ZenoConfig.hermitian`` and ``DampingConfig.hermitian``, which exist for
-Hermiticity-preserving maps.  The sweeps themselves apply their maps to the
-test states matrix-free: ``(M exp(tL/n))^n`` by iterating the step
+Hermiticity-preserving maps; of the sweeps of :mod:`zenolab.experiments`,
+only the gapped zeno channel takes its checks and its limit this way.  For
+the attenuator the same checks are closed forms on its Kraus weights
+(:func:`zenolab.channels.attenuator_check`), and the limit is
+``|0><0| Tr x``, because every generator of a sweep preserves the trace.
+The sweeps apply their maps to the test states matrix-free:
+``(M exp(tL/n))^n`` by iterating the step
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
 contour integral (:func:`zenolab.channels.damped_action`).
 """

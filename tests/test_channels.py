@@ -156,6 +156,48 @@ def test_attenuator_deviation_batch_and_contract():
         attenuator_deviation(0.5, states[0])  # a single matrix is not a batch
 
 
+def unit_disc(radius, angle):
+    return radius * complex(np.cos(angle), np.sin(angle))
+
+
+radii = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+angles = st.floats(min_value=-np.pi, max_value=np.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=64),
+    radius=radii,
+    angle=angles,
+    radius2=radii,
+    angle2=angles,
+    s=st.floats(min_value=0.01, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attenuator_weights_closed_forms(d, radius, angle, radius2, angle2, s, seed):
+    # what attenuator_check relies on: the Kraus operators K_l, entry (m, m+l)
+    # = w[m, l], sum to K^dag K = I (so the anti-diagonal sums of |w|^2 are 1)
+    # with w[0, 0] = 1; Phi_{eta1} Phi_{eta2} = Phi_{eta1 eta2}; and at d <= 10
+    # exp(sK) is the attenuator at e^{-s}
+    eta, eta2 = unit_disc(radius, angle), unit_disc(radius2, angle2)
+    w = channels._attenuator_weights(eta, d)
+    assert w[0, 0] == 1
+    total = np.zeros((d, d), dtype=complex)
+    for l in range(d):
+        k = np.diag(w[: d - l, l], l)
+        total += k.conj().T @ k
+    assert np.abs(total - np.eye(d)).max() <= 1e-12
+    states = damping_states(d, seed)
+    channels.attenuator_check(eta, list(zip("abc", states)))
+    twice = attenuator_after(eta, attenuator_after(eta2, states))
+    for x, y in zip(twice, attenuator_after(eta * eta2, states)):
+        assert trace_norm(x - y) <= 1e-12
+    if d <= 10:
+        exp_sk = matrix_exp(s * attenuator_generator(d).matrix)
+        for x, y in zip(states, attenuator_after(np.exp(-s), states)):
+            assert trace_norm(devectorize(exp_sk @ vectorize(x)) - y) <= 1e-12
+
+
 def test_kraus_constructor_rejects_non_trace_preserving():
     with pytest.raises(ValueError):
         KrausChannel(kraus_ops=(np.eye(2) * 1.1,))

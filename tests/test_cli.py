@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from zenolab import cli, experiments
+from zenolab import channels, cli, experiments
 from zenolab.cli import main
 
 GOOD = """
@@ -105,20 +105,41 @@ def test_zeno_run_reports_generator_probe(tmp_path, capsys):
         GOOD.replace("kind = mixing", "kind = zeno").replace("start = 1", "start = 8")
     )
     assert main(["--out", str(tmp_path), "run", str(cfg)]) == 0
-    assert "||L|| (1->1 probe lower bound):" in capsys.readouterr().out
+    # lambda_max - lambda_min of (a + a^dag)/6 at d = 6: 2 sqrt(2) 2.350604973674492 / 6
+    assert "  ||L|| (exact 1->1 norm): 1.10809\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, label", [("zeno", "M"), ("damping", "exp(0.1 K)")])
+def test_defective_attenuator_weights_exit_3(tmp_path, capsys, monkeypatch, kind, label):
+    # the closed-form validate() reads the weight table and the kernel that
+    # zeno_action shares; a defect in either ends the run with exit 3 and the
+    # failed check, before any row is written
+    weights = channels._attenuator_weights
+    apply_once = channels._attenuator_apply
+    path = tmp_path / "run.ini"
+    path.write_text(GOOD.replace("kind = mixing", f"kind = {kind}").replace("start = 1", "start = 8"))
+    monkeypatch.setattr(channels, "_attenuator_weights", lambda eta, d: 1.001 * weights(eta, d))
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 3
+    assert f"invariant violation: {kind}: P {label} != P within 1e-9" in capsys.readouterr().err
+    monkeypatch.setattr(channels, "_attenuator_weights", weights)
+    monkeypatch.setattr(channels, "_attenuator_apply", lambda products, x: 1.1 * apply_once(products, x))
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 3
+    assert f"invariant violation: {kind}: {label} is not trace-norm contractive on state 'fock:1'" in capsys.readouterr().err
+    assert not (tmp_path / "cli-mixing.csv").exists()
 
 
 @pytest.mark.parametrize(
     "text, field",
     [
-        ("[experiment]\nkind = zeno\ndimension = 400\n", "experiment.dimension"),
+        ("[experiment]\nkind = zeno\ndimension = 100000\n", "experiment.dimension"),
+        ("[experiment]\nkind = damping\ndimension = 1000\n", "experiment.dimension"),
         ("[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 300\n", "binomial.system_dim"),
         (
             "[experiment]\nkind = zeno\n[channel]\ntype = gapped\nsystem_dim = 300\n",
             "channel.system_dim",
         ),
     ],
-    ids=["dimension", "binomial", "gapped"],
+    ids=["dimension", "damping", "binomial", "gapped"],
 )
 def test_oversized_config_exits_2_before_running(tmp_path, capsys, monkeypatch, text, field):
     def refuse(*args, **kwargs):

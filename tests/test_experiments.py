@@ -1,3 +1,4 @@
+import cmath
 import os
 import subprocess
 import sys
@@ -8,17 +9,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenolab import experiments, zeno
-from zenolab.channels import Superoperator, attenuator_generator, vacuum_projection_superop, zeno_action
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zenolab import channels, experiments, zeno
+from zenolab.channels import (
+    Dephasing,
+    HamiltonianCommutator,
+    Superoperator,
+    apply,
+    attenuator_deviation,
+    attenuator_generator,
+    attenuator_kraus,
+    to_superoperator,
+    vacuum_projection_superop,
+    zeno_action,
+)
 from zenolab.experiments import (
     CSV_HEADER,
     ConfigError,
     InvariantViolation,
     PRESETS,
     _build_generator,
-    _build_mixing_pair,
+    _generator_parts,
     build_states,
     emit_plot_script,
+    generator_norm,
     list_presets,
     parse_config_text,
     preset_config,
@@ -26,9 +42,10 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
-from zenolab.linalg import matrix_exp
-from zenolab.sampling import random_operator, stream
-from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, zeno_error
+from zenolab.fock import number_operator
+from zenolab.linalg import trace_norm
+from zenolab.sampling import random_gapped_channel, random_operator, stream
+from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, one_one_norm_probe, zeno_error
 
 MINI_ZENO = """
 [experiment]
@@ -131,13 +148,15 @@ def test_grid_is_integer_only_for_rounded_kinds():
 
 
 def test_size_check_counts_live_dense_matrices(monkeypatch):
-    # physical memory of exactly nine 100 x 100 complex matrices admits d = 10, not d = 11
+    # physical memory of exactly nine 100 x 100 complex matrices admits a
+    # gapped zeno channel of system_dim = 10, not 11
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MATRICES * 10**4}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert parse_config_text(MINI_ZENO).dimension == 10
+    gapped = MINI_ZENO.replace("eta_re = 0.5", "type = gapped\nsystem_dim = 10")
+    assert parse_config_text(gapped).system_dim == 10
     with pytest.raises(ConfigError) as err:
-        parse_config_text(MINI_ZENO.replace("dimension = 10", "dimension = 11"))
-    assert err.value.field == "experiment.dimension"
+        parse_config_text(gapped.replace("system_dim = 10", "system_dim = 11"))
+    assert err.value.field == "channel.system_dim"
     simplex = MINI_ZENO.replace("kind = zeno", "kind = simplex").replace("= 10", "= 4000")
     assert parse_config_text(simplex).dimension == 4000  # holds no dense matrix
 
@@ -145,7 +164,7 @@ def test_size_check_counts_live_dense_matrices(monkeypatch):
 def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
     # memory for exactly 5 (S + 1) d x d complex arrays at d = 100 and S = 2
     # admits d = 100, not d = 101 or a third state; a zeno run of that size
-    # keeps the dense 9 * 16 d^4 estimate
+    # also holds the attenuator's weight products, so it is charged more
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MIXING_ARRAYS * 3 * 100**2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     mixing = MINI_MIXING.replace("dimension = 8", "dimension = 100")
@@ -157,6 +176,27 @@ def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
     ):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
+        assert err.value.field == "experiment.dimension"
+
+
+@pytest.mark.parametrize("kind", ["zeno", "damping"])
+def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind):
+    # memory for exactly what an attenuator run holds at d = 100 with two
+    # states admits d = 100, not d = 101 or a third state: zeno its weight
+    # products, sum_k k^2 entries, damping one node group of 4 d^4 entries,
+    # and each some d x d arrays per state plus one
+    d = 100
+    if kind == "zeno":
+        entries = d * (d + 1) * (2 * d + 1) // 6 + experiments._LIVE_ZENO_ARRAYS * 3 * d**2
+    else:
+        entries = 4 * d**4 + experiments._LIVE_DAMPING_ARRAYS * 3 * d**2
+    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": entries}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace("dimension = 10", f"dimension = {d}")
+    assert parse_config_text(text).dimension == d
+    for bad in (text.replace(f"= {d}", f"= {d + 1}"), text.replace("coherent:0.5", "coherent:0.5, random:0")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad)
         assert err.value.field == "experiment.dimension"
 
 
@@ -247,7 +287,7 @@ def test_mixing_runs_without_a_superoperator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the mixing run built a superoperator")
 
-    monkeypatch.setattr(experiments, "to_superoperator", refuse)
+    monkeypatch.setattr(channels, "to_superoperator", refuse)
     d = 40
     cfg = parse_config_text(MINI_MIXING.replace("dimension = 8", f"dimension = {d}"))
     tracemalloc.start()
@@ -277,34 +317,49 @@ def test_run_damping_small():
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_damping_run_exponentiates_only_to_validate_and_limit(monkeypatch):
-    # each grid point applies exp(t (gamma K + L)) matrix-free, so the only
-    # dense exponentials are exp(0.1 K) in validate() and exp(t PLP); the dense
-    # random-Hamiltonian chunks stay inside the size check's 9 * 16 d^4 bytes
-    calls = []
+@pytest.mark.parametrize("kind", ["zeno", "damping"])
+def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
+    # validate() and the limit |0><0| Tr x are closed forms and both kernels
+    # act on the states, so nothing exponentiates or builds a d^2 x d^2
+    # matrix.  With the kernel held back, the run peaks at a tenth of one such
+    # matrix; whole, within the size check's charge.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an attenuator run built a dense matrix")
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return matrix_exp(a, *args, **kwargs)
-
-    monkeypatch.setattr(zeno, "matrix_exp", counted)
-    monkeypatch.setattr(experiments, "matrix_exp", counted)
+    for owner, name in (
+        (zeno, "matrix_exp"),
+        (zeno, "to_hermitian_basis"),
+        (channels, "to_superoperator"),
+        (channels, "attenuator_generator"),
+        (channels, "vacuum_projection_superop"),
+        (HamiltonianCommutator, "to_superoperator"),
+        (Dephasing, "to_superoperator"),
+        (experiments, "effective_dynamics"),
+        (experiments, "_build_generator"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
     d = 16
     text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
         .replace("dimension = 10", f"dimension = {d}")
         .replace("quadrature", "random\nscale = 0.4")
     )
     cfg = parse_config_text(text)
-    tracemalloc.start()
-    try:
-        rows = run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 5 * 2
-    assert calls == [(d * d, d * d)] * 2
-    assert peak <= experiments._LIVE_MATRICES * 16 * d**4
+
+    def peak():
+        run_experiment(cfg)  # lazy imports and caches settle first
+        tracemalloc.start()
+        try:
+            assert len(run_experiment(cfg)) == 5 * 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= experiments._charge(cfg)[0]
+    # both kernels take the batch of states third; the stand-in returns it
+    kernel = "zeno_action" if kind == "zeno" else "damped_action"
+    monkeypatch.setattr(experiments, kernel, lambda *args: np.asarray(args[2]))
+    assert peak() <= 16 * d**4 / 10
 
 
 def test_damping_run_leaves_scipy_unimported(tmp_path):
@@ -425,7 +480,12 @@ AGREEMENT_CASES = {
 def _complex_path_errors(cfg):
     """Per-(parameter, state) errors from the complex public engine."""
     if cfg.kind == "zeno":
-        m, p, dim = _build_mixing_pair(cfg)
+        if cfg.channel_type == "attenuator":
+            dim = cfg.dimension
+            m, p = to_superoperator(attenuator_kraus(cfg.eta, dim)), vacuum_projection_superop(dim)
+        else:
+            dim = cfg.system_dim
+            m, p, _ = random_gapped_channel(dim, stream(cfg.seed, experiments._STREAM_CHANNEL), cfg.gapped_delta)
         l = _build_generator(cfg, dim)
         states = build_states(cfg, dim)
         grid = [int(round(n)) for n in cfg.grid()]
@@ -460,12 +520,81 @@ def test_real_runners_agree_with_complex_engine(case):
 
 
 def test_runner_rejects_generator_that_breaks_hermiticity(monkeypatch):
+    # the gapped zeno channel is the run that still builds L as a matrix
     def skewed(cfg, dim):
         return Superoperator(matrix=random_operator(dim * dim, stream(cfg.seed, 99), norm=0.1))
 
     monkeypatch.setattr(experiments, "_build_generator", skewed)
     with pytest.raises(InvariantViolation, match="L: map is not Hermiticity-preserving"):
-        run_experiment(parse_config_text(MINI_ZENO))
+        run_experiment(preset_config("uniform-zeno"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(["quadrature", "number", "random", "dephasing"]),
+    scale=st.floats(min_value=0.01, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_generator_norm_is_exact(d, kind, scale, seed):
+    # the probe's lower bound never exceeds the exact norm, which is attained
+    # at |u><v| for eigenvectors u, v of the extreme eigenvalues of H (|0>
+    # and |d-1> of N for dephasing)
+    if kind == "dephasing":
+        generator = f"type = dephasing\nrate = {scale!r}"
+    else:
+        generator = f"type = hamiltonian\nhamiltonian = {kind}\nscale = {scale!r}"
+    text = (
+        MINI_ZENO.replace("seed = 3", f"seed = {seed}")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("type = hamiltonian\nhamiltonian = quadrature", generator)
+        .replace("fock:1, coherent:0.5", "fock:1")
+    )
+    cfg = parse_config_text(text)
+    norm = generator_norm(cfg)
+    l = _build_generator(cfg, d)
+    assert one_one_norm_probe(l).value <= norm * (1 + 1e-12)
+    h, _ = _generator_parts(cfg, d)
+    _, vectors = np.linalg.eigh(number_operator(d) if h is None else h)
+    unit = np.outer(vectors[:, -1], vectors[:, 0].conj())
+    assert abs(trace_norm(apply(l, unit)) - norm) <= 1e-12 * max(norm, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["zeno", "damping"])
+def test_attenuator_runs_at_d64_match_closed_forms(kind):
+    # no dense setup runs at d = 64.  -i[sN, .] and dephasing commute with the
+    # attenuator: a zeno row is ||Phi_{eta^n}(U_t x U_t^dag) - |0><0| Tr x||_1
+    # and a damping row ||Phi_{e^{-gamma t}}(e^{tL} x) - |0><0| Tr x||_1, where
+    # e^{tL} multiplies entry (m, n) by e^{-t r (m - n)^2 / 2}
+    d, t = 64, 1.0
+    if kind == "zeno":
+        s = 0.05
+        generator = f"type = hamiltonian\nhamiltonian = number\nscale = {s}"
+    else:
+        r = 0.3
+        generator = f"type = dephasing\nrate = {r}"
+    text = (
+        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("eta_re = 0.5", "eta_re = 0.45\neta_im = 0.2")
+        .replace("type = hamiltonian\nhamiltonian = quadrature", generator)
+        .replace("count = 5", "count = 3")
+        .replace("fock:1, coherent:0.5", f"fock:{d - 1}, coherent:1.5, random:0")
+    )
+    cfg = parse_config_text(text)
+    states = dict(build_states(cfg, d))
+    charge = np.subtract.outer(np.arange(d), np.arange(d))
+    rows = run_experiment(cfg)
+    assert len(rows) == 3 * 3
+    for row in rows:
+        x = states[row.state_id][None]
+        if kind == "zeno":
+            n = int(row.parameter)
+            eta_n = cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta))
+            exact = attenuator_deviation(eta_n, x * np.exp(-1j * t * s * charge))
+        else:
+            exact = attenuator_deviation(np.exp(-row.parameter * t), x * np.exp(-t * r * charge**2 / 2))
+        assert abs(row.error - trace_norm(exact[0])) <= 1e-12, row
 
 
 # ---------------------------------------------------------------------------
