@@ -13,7 +13,6 @@ from .linalg import (
 from .fock import (
     CoherentVector,
     annihilation,
-    check_density_matrix,
     coherent_vector,
     number_operator,
     particle_number,

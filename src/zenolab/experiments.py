@@ -24,6 +24,7 @@ from .channels import (
     Dephasing,
     HamiltonianCommutator,
     Superoperator,
+    apply,
     attenuator_check,
     attenuator_deviation,
     attenuator_mixing_bound,
@@ -31,14 +32,7 @@ from .channels import (
     zeno_action,
 )
 from .fock import annihilation, coherent_vector, number_operator
-from .linalg import (
-    devectorize,
-    herm_devectorize,
-    herm_vectorize,
-    matrix_exp,
-    trace_norm,
-    vectorize,
-)
+from .linalg import devectorize, matrix_exp, trace_norm, vectorize
 from .sampling import (
     random_density_matrix,
     random_gapped_channel,
@@ -475,24 +469,16 @@ def generator_norm(cfg: ExperimentConfig) -> float:
 # the sweep engine and the per-kind runners
 
 
-# How _sweep encodes each test state and decodes each image: column-stacked
-# vectors or the matrix itself.
-_COLUMNS = (vectorize, devectorize)
-_OPERATORS = (np.asarray, np.asarray)
-
-
-def _sweep(grid, act, states, encoding) -> list:
+def _sweep(grid, act, states) -> list:
     """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
 
-    ``act(x, batch)`` returns the images, under the map at ``x`` minus its
-    limit, of the states encoded by ``encoding`` (``_COLUMNS`` or
-    ``_OPERATORS``), one per state.  The grid points run
-    in order, one after another.  A record's ``wall_time_s`` is an even
+    ``act(x, batch)`` returns the images of the state matrices ``batch``
+    under the map at ``x`` minus its limit, one per state.  The grid points
+    run in order, one after another.  A record's ``wall_time_s`` is an even
     share of its point's ``act`` time plus its own error evaluation, so a
     run's records sum to its sweep.
     """
-    encode, decode = encoding
-    batch = [encode(rho) for _, rho in states]
+    batch = [rho for _, rho in states]
     records = []
     for x in grid:
         started = time.perf_counter()
@@ -500,21 +486,10 @@ def _sweep(grid, act, states, encoding) -> list:
         share = (time.perf_counter() - started) / len(states)
         for (state_id, _), image in zip(states, images):
             started = time.perf_counter()
-            err = trace_norm(decode(image))
+            err = trace_norm(image)
             wall = share + time.perf_counter() - started
             records.append(ConvergenceRecord(float(x), err, None, state_id, wall))
     return records
-
-
-def _matrix_action(deviation):
-    """The ``act`` of ``_sweep`` for a map given as the matrix ``deviation(x)``."""
-
-    def act(x, batch):
-        diff = deviation(x)
-        # one product per state: a batched product would sum in another order
-        return [diff @ v for v in batch]
-
-    return act
 
 
 def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
@@ -566,7 +541,7 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
         eta_n = cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta))
         return attenuator_deviation(eta_n, batch)
 
-    records = _sweep(cfg.grid(), act, states, _OPERATORS)
+    records = _sweep(cfg.grid(), act, states)
     rho = dict(states)
     records = [
         replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
@@ -591,7 +566,7 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
     # Each grid point iterates the step M exp(tL/n) on the states
     # (zeno_action).  The attenuator's validate() and limit are closed forms;
     # the gapped channel keeps ZenoConfig.validate() and exp(t PLP) P on its
-    # real Hermitian-basis matrices, which are dropped before the sweep.
+    # complex matrices, which are dropped before the sweep.
     _, d = _state_dim(cfg)
     h, rate = _generator_parts(cfg, d)
     states = build_states(cfg, d)
@@ -603,15 +578,14 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
         channel, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
         zcfg = ZenoConfig(m=channel, l=_build_generator(cfg, d), p=p, t=cfg.t, n_grid=grid, test_states=states)
         zcfg.validate()
-        _, l, p = zcfg.hermitian
-        eff = effective_dynamics(p, l, cfg.t)
-        limits = np.stack([herm_devectorize(eff @ herm_vectorize(rho)) for _, rho in states])
-        del zcfg, l, p, eff
+        eff = effective_dynamics(p, zcfg.l, cfg.t)
+        limits = np.stack([apply(eff, rho) for _, rho in states])
+        del zcfg, p, eff
 
     def act(n, batch):
         return zeno_action(n, cfg.t, batch, channel, h, rate) - limits
 
-    records = _sweep(grid, act, states, _OPERATORS)
+    records = _sweep(grid, act, states)
     return _rows(cfg, records, "power_log")
 
 
@@ -630,7 +604,7 @@ def _run_damping(cfg: ExperimentConfig) -> list:
     def act(gamma, batch):
         return damped_action(gamma, cfg.t, batch, h, rate) - limits
 
-    records = _sweep(cfg.grid(), act, states, _OPERATORS)
+    records = _sweep(cfg.grid(), act, states)
     return _rows(cfg, records, "power_log")
 
 
@@ -649,10 +623,12 @@ def _run_binomial(cfg: ExperimentConfig) -> list:
         fit_model = "power_log"
     states = build_states(cfg, s)
 
-    def deviation(n):
-        return bn.binomial_product(m_mat, l_mat, n) - target
+    def act(n, batch):
+        diff = bn.binomial_product(m_mat, l_mat, n) - target
+        # one product per state: a batched product would sum in another order
+        return [devectorize(diff @ vectorize(rho)) for rho in batch]
 
-    records = _sweep(cfg.grid(), _matrix_action(deviation), states, _COLUMNS)
+    records = _sweep(cfg.grid(), act, states)
     return _rows(cfg, records, fit_model)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "vacuum_state",
     "particle_number",
     "trace_distance",
-    "check_density_matrix",
 ]
 
 DEFAULT_TAIL_BUDGET = 1e-12
@@ -119,33 +118,3 @@ def trace_distance(rho, sigma) -> float:
     diff = rho - sigma
     diff = (diff + diff.conj().T) / 2
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def check_density_matrix(
-    rho,
-    *,
-    unit_trace: bool = True,
-    herm_tol: float = 1e-10,
-    eig_floor: float = -1e-10,
-    trace_tol: float = 1e-10,
-) -> np.ndarray:
-    """Validate the density-matrix contract, raising ValueError on breach.
-
-    With ``unit_trace=False`` the trace is only required to lie in
-    (0, 1 + trace_tol], the contract for quantum-operation outputs.
-    """
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.linalg.norm(rho - rho.conj().T) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within 1e-10")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < eig_floor:
-        raise ValueError(f"density matrix has eigenvalue {w.min():.3e} below {eig_floor:.0e}")
-    tr = float(np.trace(rho).real)
-    if unit_trace:
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {tr!r} is not 1 within {trace_tol:.0e}")
-    elif tr <= 0 or tr > 1.0 + trace_tol:
-        raise ValueError(f"sub-normalized state has trace {tr!r} outside (0, 1]")
-    return rho

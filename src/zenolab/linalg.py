@@ -7,26 +7,6 @@ The vectorization convention is column stacking, fixed so that
 
 holds exactly; everything that builds superoperators relies on it.
 
-Hermitian operator basis.  The ``d^2`` matrices
-
-    E_ii,   (E_ij + E_ji) / sqrt(2),   i (E_ij - E_ji) / sqrt(2)   (i < j)
-
-form an orthonormal basis of the Hermitian ``d x d`` matrices, taken in
-that order: the ``d`` diagonal units, then the symmetric and then the
-antisymmetric elements, each block running over the pairs ``i < j`` in
-``numpy.triu_indices`` order.  Their vectorizations are the columns of a
-unitary ``U``.  A Hermiticity-preserving superoperator ``A`` (one with
-``A(X)^dag = A(X^dag)``) has a real matrix ``U^H A U``, and a Hermitian
-state has real coordinates ``U^H vec(X)``: :func:`to_hermitian_basis`,
-:func:`herm_vectorize` and :func:`herm_devectorize` change to and from
-that basis in ``O(d^4)`` index arithmetic on the pairs ``c1 = i + j d``,
-``c2 = j + i d``, without forming ``U``.  Every map of the Zeno and
-strong-damping sweeps is Hermiticity-preserving (channels, Lindblad and
-Hamiltonian generators, the fixed-point projections), so the checks and
-limits of both sweeps run as real ``dgemm`` products, about four times
-cheaper than ``zgemm``.  Maps that are not, such as the random generators
-of the binomial experiments, stay complex.
-
 :func:`matrix_exp` scales its input by ``2**-s`` to a 1-norm of at most
 1/2, evaluates a Taylor polynomial of a degree fixed in advance by a bound
 on the whole remainder with the Paterson-Stockmeyer scheme (block size 3:
@@ -66,16 +46,9 @@ __all__ = [
     "trace_norm",
     "matrix_exp",
     "matrix_power",
-    "to_hermitian_basis",
-    "herm_vectorize",
-    "herm_devectorize",
 ]
 
 FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
-# Largest imaginary part, relative to the largest entry of the input, that
-# the change to the Hermitian basis treats as rounding and drops.
-HERMITIAN_RTOL = 1e-12
-_SQRT_HALF = float(np.sqrt(0.5))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -125,7 +98,7 @@ def trace_norm(a) -> float:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm requires a square matrix")
-    return float(singular_values(a).sum())
+    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def _flush_underflow(a: np.ndarray) -> np.ndarray:
@@ -273,105 +246,3 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
         np.matmul(acc, acc, out=spare)
         acc, spare = _flush_underflow(spare), acc
     return acc
-
-
-# ----------------------------------------------------------------------------
-# change to the Hermitian operator basis (see the module docstring)
-
-
-def _hermitian_order(d: int) -> np.ndarray:
-    """Column-stacking positions of ``E_ii`` (i = 0..d-1), then of ``E_ij`` and
-    then of ``E_ji`` for the pairs ``i < j``: the rows of ``U`` that feed the
-    diagonal, symmetric and antisymmetric basis elements, in basis order."""
-    i, j = np.triu_indices(d, 1)
-    return np.concatenate((np.arange(d) * (d + 1), i + j * d, j + i * d))
-
-
-def _pair_blocks(d: int) -> tuple:
-    """Slices of the symmetric and the antisymmetric block in basis order."""
-    half = (d * d + d) // 2
-    return slice(d, half), slice(half, None)
-
-
-def _mix_pairs(x: np.ndarray, y: np.ndarray, phase: complex) -> None:
-    """In place ``(x, y) <- ((x + y) / sqrt(2), phase (x - y) / sqrt(2))``.
-
-    With ``x`` holding the ``E_ij`` rows and ``y`` the ``E_ji`` rows, phase
-    ``-1j`` applies ``U^H``; on columns, phase ``1j`` applies ``U``.
-    """
-    diff = x - y
-    x += y
-    x *= _SQRT_HALF
-    np.multiply(diff, phase * _SQRT_HALF, out=y)
-
-
-def _real_part(b: np.ndarray, scale: float, what: str) -> np.ndarray:
-    """The real part of ``b``, after checking its imaginary part is rounding."""
-    residue = float(np.abs(b.imag).max(initial=0.0))
-    if residue > HERMITIAN_RTOL * scale:
-        raise ValueError(
-            f"{what}: imaginary residue {residue:.3e} in the Hermitian basis exceeds "
-            f"{HERMITIAN_RTOL:.0e} * max|entry| = {HERMITIAN_RTOL * scale:.3e}"
-        )
-    return np.ascontiguousarray(b.real)
-
-
-def _basis_dim(size: int, what: str) -> int:
-    d = int(round(np.sqrt(size)))
-    if d * d != size:
-        raise ValueError(f"{what} of size {size} is not d^2 for an integer d")
-    return d
-
-
-def to_hermitian_basis(a) -> np.ndarray:
-    """``U^H A U``: a Hermiticity-preserving superoperator as a real matrix.
-
-    ``a`` is a ``(d^2, d^2)`` superoperator in the column-stacking
-    convention; the result is float64 in the Hermitian basis of the module
-    docstring.  Raises ValueError when the imaginary part of ``U^H A U``
-    exceeds ``HERMITIAN_RTOL * max|A|``, that is when ``a`` does not
-    preserve Hermiticity.  One permuted complex copy of ``a`` and one
-    half-size temporary are live besides the result.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("to_hermitian_basis requires a square matrix")
-    d = _basis_dim(a.shape[0], "superoperator")
-    order = _hermitian_order(d)
-    b = a[np.ix_(order, order)]
-    scale = float(np.abs(b).max(initial=0.0))
-    sym, anti = _pair_blocks(d)
-    _mix_pairs(b[sym], b[anti], -1j)
-    _mix_pairs(b[:, sym], b[:, anti], 1j)
-    return _real_part(b, scale, "map is not Hermiticity-preserving")
-
-
-def herm_vectorize(x) -> np.ndarray:
-    """Real coordinates ``U^H vec(x)`` of a Hermitian ``d x d`` matrix.
-
-    Raises ValueError when ``x`` is not Hermitian to ``HERMITIAN_RTOL``
-    relative to its largest entry.
-    """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"herm_vectorize requires a square matrix, got {x.shape}")
-    d = x.shape[0]
-    w = vectorize(x)[_hermitian_order(d)]
-    scale = float(np.abs(w).max(initial=0.0))
-    sym, anti = _pair_blocks(d)
-    _mix_pairs(w[sym], w[anti], -1j)
-    return _real_part(w, scale, "matrix is not Hermitian")
-
-
-def herm_devectorize(v) -> np.ndarray:
-    """Inverse of :func:`herm_vectorize`: the Hermitian matrix with coordinates ``v``."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    d = _basis_dim(v.size, "coordinate vector")
-    sym, anti = _pair_blocks(d)
-    upper = (v[sym] + 1j * v[anti]) * _SQRT_HALF
-    order = _hermitian_order(d)
-    flat = np.empty(d * d, dtype=np.complex128)
-    flat[order[:d]] = v[:d]
-    flat[order[sym]] = upper
-    flat[order[anti]] = upper.conj()
-    return devectorize(flat)

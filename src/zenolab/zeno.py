@@ -8,14 +8,12 @@ The products and errors here (``zeno_product``, ``damped_evolution``,
 ``zeno_error``, ``damping_error``) use the complex column-stacking
 matrices and accept any linear maps; they are also the dense reference the
 tests hold the sweeps to.  ``ZenoConfig.validate`` and
-``DampingConfig.validate`` run on the real Hermitian-basis forms of
-``ZenoConfig.hermitian`` and ``DampingConfig.hermitian``, which exist for
-Hermiticity-preserving maps; of the sweeps of :mod:`zenolab.experiments`,
-only the gapped zeno channel takes its checks and its limit this way.  For
-the attenuator the same checks are closed forms on its Kraus weights
-(:func:`zenolab.channels.attenuator_check`), and the limit is
-``|0><0| Tr x``, because every generator of a sweep preserves the trace.
-The sweeps apply their maps to the test states matrix-free:
+``DampingConfig.validate`` run on the same matrices; of the sweeps of
+:mod:`zenolab.experiments`, only the gapped zeno channel takes its checks
+and its limit this way.  For the attenuator the same checks are closed
+forms on its Kraus weights (:func:`zenolab.channels.attenuator_check`), and
+the limit is ``|0><0| Tr x``, because every generator of a sweep preserves
+the trace.  The sweeps apply their maps to the test states matrix-free:
 ``(M exp(tL/n))^n`` by iterating the step
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
 contour integral (:func:`zenolab.channels.damped_action`).
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +31,8 @@ from .fock import vacuum_state
 from .linalg import (
     as_matrix,
     devectorize,
-    herm_devectorize,
-    herm_vectorize,
     matrix_exp,
     matrix_power,
-    to_hermitian_basis,
     trace_norm,
     vectorize,
 )
@@ -94,10 +88,9 @@ def _check_projection_compat(m_mat, p_mat, what: str):
 
 
 def _check_contractive(mat, states, what: str, slack: float = 1e-8):
-    """``mat`` is in the Hermitian basis; ``states`` are Hermitian matrices."""
     for state_id, x in states:
         before = trace_norm(x)
-        after = trace_norm(herm_devectorize(mat @ herm_vectorize(x)))
+        after = trace_norm(devectorize(mat @ vectorize(x)))
         if after > before + slack:
             raise ValueError(
                 f"{what} is not trace-norm contractive on state {state_id!r}: "
@@ -105,15 +98,18 @@ def _check_contractive(mat, states, what: str, slack: float = 1e-8):
             )
 
 
-def _hermitian_maps(**maps) -> tuple:
-    """The given superoperators' real Hermitian-basis matrices, in order."""
-    out = []
+def _check_hermiticity_preserving(**maps) -> None:
+    """Raise ValueError naming the first map with ``A(X)^dag != A(X^dag)``.
+
+    With ``S`` the permutation ``vec(X) -> vec(X^T)``, a map preserves
+    Hermiticity exactly when ``A = S conj(A) S``; the test allows a
+    deviation of ``1e-12 max|A|`` for rounding.
+    """
     for name, sup in maps.items():
-        try:
-            out.append(to_hermitian_basis(sup.matrix))
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-    return tuple(out)
+        a, d = sup.matrix, sup.dim
+        s = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        if np.abs(a - a[np.ix_(s, s)].conj()).max() > 1e-12 * np.abs(a).max():
+            raise ValueError(f"{name}: map is not Hermiticity-preserving")
 
 
 @dataclass(frozen=True)
@@ -137,25 +133,18 @@ class ZenoConfig:
         states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
         object.__setattr__(self, "test_states", states)
 
-    @cached_property
-    def hermitian(self) -> tuple:
-        """``(M, L, P)`` as real matrices in the Hermitian operator basis.
-
-        Converted once per config by :func:`~zenolab.linalg.to_hermitian_basis`;
-        a map that is not Hermiticity-preserving raises ValueError naming it.
-        """
-        return _hermitian_maps(M=self.m, L=self.l, P=self.p)
-
     def validate(self):
-        """Contractivity spot-checks and projection compatibility.
+        """Hermiticity preservation, contractivity spot-checks and projection compatibility.
 
-        The checks run on :attr:`hermitian`, so M, L and P must preserve
-        Hermiticity and the test states must be Hermitian, as every channel,
-        generator and density matrix is; otherwise ValueError.
+        Runs on the complex matrices: M, L and P must preserve Hermiticity, as
+        every channel and generator does, or ValueError names the first that
+        does not.  M must not grow the trace norm of any test state, which a
+        CPTP map contracts on all operators, Hermitian or not; and P must be a
+        projection with ``MP = PM = P``.
         """
-        m, _, p = self.hermitian
-        _check_contractive(m, self.test_states, "M")
-        _check_projection_compat(m, p, "M")
+        _check_hermiticity_preserving(M=self.m, L=self.l, P=self.p)
+        _check_contractive(self.m.matrix, self.test_states, "M")
+        _check_projection_compat(self.m.matrix, self.p.matrix, "M")
 
 
 @dataclass(frozen=True)
@@ -179,29 +168,21 @@ class DampingConfig:
         states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
         object.__setattr__(self, "test_states", states)
 
-    @cached_property
-    def hermitian(self) -> tuple:
-        """``(K, L, P)`` as real matrices in the Hermitian operator basis.
-
-        Converted once per config by :func:`~zenolab.linalg.to_hermitian_basis`;
-        a map that is not Hermiticity-preserving raises ValueError naming it.
-        """
-        return _hermitian_maps(K=self.k, L=self.l, P=self.p)
-
     def validate(self):
         """Contractivity of exp(sK) and projection compatibility of exp(K).
 
-        Runs on :attr:`hermitian`, with the requirements of
-        :meth:`ZenoConfig.validate`.  Only exp(0.1 K) is a stiff exponential;
-        exp(K) and exp(10 K) are its 10th and 100th powers (4 products each).
+        Runs on the complex matrices, with the requirements of
+        :meth:`ZenoConfig.validate` for K, L and P.  Only exp(0.1 K) is a
+        stiff exponential; exp(K) and exp(10 K) are its 10th and 100th powers
+        (4 products each).
         """
-        k, _, p = self.hermitian
-        exp_tenth = matrix_exp(0.1 * k)
+        _check_hermiticity_preserving(K=self.k, L=self.l, P=self.p)
+        exp_tenth = matrix_exp(0.1 * self.k.matrix)
         exp_k = matrix_power(exp_tenth, 10)
         exp_ten_k = matrix_power(exp_k, 10)
         for s, exp_sk in ((0.1, exp_tenth), (1.0, exp_k), (10.0, exp_ten_k)):
             _check_contractive(exp_sk, self.test_states, f"exp({s} K)")
-        _check_projection_compat(exp_k, p, "exp(K)")
+        _check_projection_compat(exp_k, self.p.matrix, "exp(K)")
 
 
 def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
@@ -223,16 +204,10 @@ def zeno_product_iterated(cfg: ZenoConfig, n: int, x) -> np.ndarray:
     return devectorize(v)
 
 
-def effective_dynamics(p, l, t: float):
-    """exp(t P L P) P, the limit dynamics on the range of P.
-
-    Given Superoperators it returns one.  Given the plain matrices of P and L
-    in one basis, such as the real forms of :attr:`ZenoConfig.hermitian`, it
-    returns the matrix in that basis.
-    """
-    if isinstance(p, Superoperator):
-        return Superoperator(matrix=effective_dynamics(p.matrix, l.matrix, t), label="effective")
-    return matrix_exp(t * (p @ l @ p)) @ p
+def effective_dynamics(p: Superoperator, l: Superoperator, t: float) -> Superoperator:
+    """exp(t P L P) P, the limit dynamics on the range of P."""
+    pm = p.matrix
+    return Superoperator(matrix=matrix_exp(t * (pm @ l.matrix @ pm)) @ pm, label="effective")
 
 
 def zeno_error(cfg: ZenoConfig, n: int, rho, state_id: str = "", effective=None) -> ConvergenceRecord:

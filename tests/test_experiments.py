@@ -223,6 +223,61 @@ def test_parse_rejects_negative_dimension():
     assert err.value.field == "experiment.dimension"
 
 
+# Every section and key the parser reads, each with values it accepts.
+CONFIG_KEYS = {
+    "experiment": {
+        "kind": experiments.KINDS, "id": ("x",), "seed": ("3",), "dimension": ("6", "16"), "t": ("0.5",),
+    },
+    "channel": {
+        "eta_re": ("0.5", "-0.8"), "eta_im": ("0.3",), "type": ("attenuator", "gapped"), "delta": ("0.5",),
+        "system_dim": ("2", "3"),
+    },
+    "generator": {
+        "type": ("hamiltonian", "dephasing", "none"), "hamiltonian": ("quadrature", "number", "random"),
+        "scale": ("0.4",), "rate": ("0.2",),
+    },
+    "binomial": {"mode": ("exp-limit", "gapped"), "system_dim": ("2",)},
+    "simplex": {"k_max": ("4",)},
+    "grid": {"start": ("8", "2.5"), "factor": ("2", "1.5"), "count": ("1", "5")},
+    "states": {"specs": ("fock:1", "fock:1, coherent:0.5, random:0")},
+    "tolerances": {"tail_mass": ("1e-12",)},
+    "output": {"path": ("out.csv",)},
+}
+CONFIG_WORDS = ("nan", "-inf", "1e400", "", "%", "[x]", "fock:99", "0", "-1")
+
+
+@st.composite
+def config_texts(draw):
+    # Three keys in four are present, and three values in four are ones the
+    # parser accepts, so examples reach every check; the rest are anything.
+    # grid.count stays below 10**4: the parser lists the whole grid before
+    # it checks it, so a huge count with a factor near 1 would only fill memory.
+    anything = st.one_of(
+        st.sampled_from(CONFIG_WORDS),
+        st.integers(min_value=-10, max_value=10**4).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
+    )
+    others = st.lists(st.sampled_from(sorted(CONFIG_KEYS.keys() - {"experiment"})), unique=True)
+    lines = []
+    for section in ["experiment", *draw(others)]:
+        lines.append(f"[{section}]")
+        for key, accepted in CONFIG_KEYS[section].items():
+            if draw(st.integers(0, 3)):
+                good = draw(st.integers(0, 3))
+                lines.append(f"{key} = {draw(st.sampled_from(accepted) if good else anything)}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=config_texts())
+def test_parse_raises_only_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
 def test_build_states_fock_out_of_range():
     cfg = parse_config_text(MINI_ZENO.replace("fock:1", "fock:12"))
     with pytest.raises(ConfigError) as err:
@@ -328,7 +383,6 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
 
     for owner, name in (
         (zeno, "matrix_exp"),
-        (zeno, "to_hermitian_basis"),
         (channels, "to_superoperator"),
         (channels, "attenuator_generator"),
         (channels, "vacuum_projection_superop"),
@@ -464,7 +518,7 @@ def test_wall_time_covers_each_grid_point(monkeypatch):
     assert sum(row.wall_time_ms for row in rows) <= elapsed_ms
 
 
-# Hermiticity-preserving maps of each kind the real-basis runners meet, at d = 10.
+# Hermiticity-preserving maps of each kind the matrix-free runners meet, at d = 10.
 AGREEMENT_CASES = {
     "zeno-complex-eta": MINI_ZENO.replace("eta_re = 0.5", "eta_re = 0.5\neta_im = 0.3"),
     "zeno-dephasing": MINI_ZENO.replace("type = hamiltonian", "type = dephasing\nrate = 0.2"),

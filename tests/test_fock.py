@@ -5,7 +5,6 @@ import pytest
 
 from zenolab.fock import (
     annihilation,
-    check_density_matrix,
     coherent_vector,
     number_operator,
     particle_number,
@@ -164,20 +163,3 @@ def test_trace_distance_triangle_inequality():
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         trace_distance(random_state(3), random_state(4))
-
-
-def test_check_density_matrix_accepts_valid():
-    check_density_matrix(random_state(5))
-
-
-def test_check_density_matrix_rejections():
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([0.4, 0.4]))  # trace != 1
-    # sub-normalized contract admits trace <= 1
-    check_density_matrix(np.diag([0.4, 0.4]), unit_trace=False)
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([0.8, 0.8]), unit_trace=False)
