@@ -237,6 +237,12 @@ def attenuator_deviation(eta: complex, ops) -> np.ndarray:
 _CONTOUR_POINTS = 48
 # Most imaginary spread 2 t ||H||_2 of the spectrum of one substep.
 _SUBSTEP_SPREAD = 2.0
+# Stopping rule of damped_action's solves at each node, the cap of its
+# fixed-point iteration, and that of its Krylov solves less _KRYLOV_LEVELS d.
+_RESIDUAL = 1e-15
+_RESIDUAL_FLOOR = 1e-13
+_ITERATIONS = 40
+_KRYLOV_LEVELS = 2
 
 
 def _contour(points: int) -> tuple:
@@ -247,44 +253,26 @@ def _contour(points: int) -> tuple:
     return z, np.exp(z) * dz / (1j * points)
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # np.kron's general reshaping costs more than the product at these sizes
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(x.shape[0] * y.shape[0], -1)
+def _settled(error, previous) -> np.ndarray:
+    """Nodes whose weighted residual meets ``_RESIDUAL``, or stops falling at most ``_RESIDUAL_FLOOR`` (its rounding floor)."""
+    return (error <= _RESIDUAL) | ((error > previous / 2) & (error <= _RESIDUAL_FLOOR))
 
 
-def _eliminate(diag, upper, lower, z) -> tuple:
-    """Block Thomas elimination of ``z - A`` at each node ``z``, for :func:`_substitute`.
+def damping_arrays(d: int) -> float:
+    """The most complex ``d x d`` arrays per state, plus one, that :func:`damped_action` holds.
 
-    ``z - A`` is block tridiagonal: block row ``j`` holds ``diag[j] + z I``,
-    ``upper[j]`` (next block column) and ``lower[j]`` (previous one; None
-    where it vanishes).  Returns the inverses of the reduced diagonal blocks
-    and the reduced upper blocks, each stacked over the ``P`` nodes.
+    At the cap every node keeps its Krylov basis and its Hessenberg columns,
+    ``cap + cap^2 / (2 d^2)`` arrays, and the triangular solves of settled
+    nodes briefly take ``cap^2 / d^2`` more.  Runs to the cap at d = 8 to 32
+    with 1 to 8 states peaked below ``cap + cap^2 / (2 d^2)`` (tracemalloc).
     """
-    inverses, shifts = [], []
-    for j, block in enumerate(diag):
-        a = block + z[:, None, None] * np.eye(len(block))
-        if j and lower[j] is not None:
-            a -= lower[j] @ shifts[-1]
-        inverses.append(np.linalg.inv(a))
-        if j + 1 < len(diag):
-            shifts.append(inverses[-1] @ upper[j])
-    return inverses, shifts
+    cap = _ITERATIONS + _KRYLOV_LEVELS * d
+    return _CONTOUR_POINTS // 2 * (cap + 2 * cap**2 / d**2 + 12)
 
 
-def _substitute(factors, lower, rhs) -> np.ndarray:
-    """``(z - A)^{-1} rhs`` at each node from :func:`_eliminate`; ``rhs`` is ``(n, S)``, the result ``(P, n, S)``."""
-    inverses, shifts = factors
-    ends = np.cumsum([inv.shape[-1] for inv in inverses])
-    rows = [slice(end - inv.shape[-1], end) for end, inv in zip(ends, inverses)]
-    out = np.empty((len(inverses[0]), *rhs.shape), dtype=np.complex128)
-    for j, inv in enumerate(inverses):
-        f = rhs[rows[j]]
-        if j and lower[j] is not None:
-            f = f - lower[j] @ out[:, rows[j - 1]]
-        out[:, rows[j]] = inv @ f
-    for j in range(len(inverses) - 2, -1, -1):
-        out[:, rows[j]] -= shifts[j] @ out[:, rows[j + 1]]
-    return out
+def damping_substeps(gamma: float, t: float, norm: float) -> float:
+    """How many equal substeps :func:`damped_action` splits ``t`` into for ``||H||_2 = norm`` (a float)."""
+    return max(1.0 if t * gamma >= 1 else 3.0, float(np.ceil(2.0 * t * norm / _SUBSTEP_SPREAD)))
 
 
 def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate: float = 0.0) -> np.ndarray:
@@ -299,31 +287,49 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     The exponential is the contour integral
     ``(1/2 pi i) int e^z (z - A)^{-1} x dz`` by the trapezoid rule on the
     parabola of :func:`_contour`, whose cost does not grow with ``||A||``.
-    ``A`` preserves Hermiticity, so the solve at ``conj(z_k)`` is the
-    adjoint of the one at ``z_k``, and ``e^{A} x = sum_k (w_k Y_k +
-    (w_k Y_k)^dag)`` over the 24 upper nodes, ``(z_k - A) Y_k = x``.
+    ``A`` preserves Hermiticity, so ``e^{A} x = sum_k (w_k Y_k + (w_k
+    Y_k)^dag)`` over the 24 upper nodes, ``(z_k - A) Y_k = x``.
 
-    In row-major coordinates each solve is block tridiagonal: row ``m`` of
-    ``Y`` meets only the rows within the bandwidth ``b`` of ``H`` and row
-    ``m + 1`` (the jump ``a Y a^dag``), so chunks of ``max(b, 1)`` rows
-    couple only to their neighbours.  Block Thomas elimination, batched
-    over the nodes, costs ``O(d^4)`` per node for a tridiagonal ``H``; a
-    dense ``H`` degrades to about one dense ``d^2 x d^2`` LU per node.
+    Each solve splits ``A = T + B``, with ``t`` the substep's length.  ``T``,
+    the attenuator generator, the dephasing and the diagonal of
+    ``-i t [H, .]``, reads only ``Y_{mn}`` and ``Y_{m+1,n+1}``, so ``(z - T)
+    Y = F`` is a back-substitution from the last row up, ``Y_{mn} = (F_{mn}
+    + 2 t gamma sqrt((m+1)(n+1)) Y_{m+1,n+1}) / (z + t (gamma (m+n) +
+    r (m-n)^2/2 + i (H_mm - H_nn)))``, vectorised over nodes and states.
+    ``B = -i t [H_off, .]``, for the off-diagonal part of ``H``, is two dense
+    products; a diagonal ``H`` leaves ``B = 0`` and one back-substitution.
 
-    ``t`` is split into equal substeps, which share one elimination when
-    the memory bound below allows:
+    Otherwise ``Y <- (z - T)^{-1} (x + B Y)`` is iterated; its residual
+    ``(z - A) Y_{j+1} - x = B (Y_j - Y_{j+1})`` comes from the two ``B Y`` it
+    computes anyway.  A node's residual is weighted by ``|w_k|`` and by
+    ``max(1, ||(z_k - T)^{-1} x|| / ||x||)``, which tracks the size of its
+    solution (up to 1e3 at the far nodes of a long jump chain) and with it
+    how far the residual moves ``Y_k``.  A node is settled once that weighted
+    residual, relative to each state's Frobenius norm, meets ``_RESIDUAL`` or
+    stops falling at most ``_RESIDUAL_FLOOR`` (its rounding floor, 1e-14 to
+    3e-14 at the heaviest nodes).  Once an unsettled node stops contracting,
+    the iteration ends: at the far nodes ``(z_k - T)^{-1} B`` can have a
+    spectral radius above 1 (a dense ``H`` at ``t gamma`` near 1 to 2 and
+    ``d >= 48``).  GMRES, right-preconditioned by the back-substitution,
+    then solves the unsettled nodes from scratch: its residual never grows,
+    and it needs up to about ``2 d`` iterations at the far nodes where the
+    iteration diverges (74 at d = 48, 102 at d = 64 and 169 at d = 96).
+    Nodes leave its batch once half of them are settled; past
+    ``_ITERATIONS + _KRYLOV_LEVELS d`` iterations it raises ``ValueError``.
+    Each iteration costs ``O(S d^3)`` per node, and the bases hold at most
+    :func:`damping_arrays` ``(d, d)`` arrays per state.
+
+    ``t`` is split into equal substeps (:func:`damping_substeps`):
 
     * ``ceil(2 t ||H||_2 / _SUBSTEP_SPREAD)`` of them, because the parabola
       is accurate near the negative real axis but not far from it near the
       origin, and ``-i t [H, .]`` spreads the spectrum up to ``2 t ||H||_2``
-      along the imaginary axis;
-    * at least 3 when ``t gamma < 1``.  There the jump chains of the
-      attenuator generator, nearly defective, amplify the quadrature error
-      of one step on highly excited states (at ``d = 64`` and ``t gamma =
-      0.3`` a single step is off by 1.2e-8 on ``|63><63|``); that error
-      lands in highly excited components, which the later substeps damp
-      (3 substeps: 2e-13).  From ``t gamma = 1`` on one step is accurate
-      (checked up to ``d = 64``).
+      along the imaginary axis.  That also keeps ``||B|| <= 4`` against
+      ``|z_k| >= 6.3``, which is why the iteration mostly contracts;
+    * at least 3 when ``t gamma < 1``.  There the nearly defective jump
+      chains of the attenuator generator amplify the quadrature error of one
+      step on highly excited states (at ``d = 64``, ``t gamma = 0.3``: 1.2e-8
+      on ``|63><63|``), which the later substeps damp (3 substeps: 2e-13).
 
     A substep agrees with the dense exponential to about 1e-13 in trace
     norm; the error adds up over the substeps.
@@ -333,52 +339,122 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
         raise ValueError("damped_action needs gamma >= 0, t > 0 and dephasing_rate >= 0")
     s, d = x.shape[:2]
     h = np.zeros((d, d), dtype=np.complex128) if hamiltonian is None else _hamiltonian(hamiltonian, d)
-    steps = max(1 if t * gamma >= 1 else 3, int(np.ceil(2.0 * t * np.linalg.norm(h, 2) / _SUBSTEP_SPREAD)))
+    steps = int(damping_substeps(gamma, t, np.linalg.norm(h, 2)))
     tau = t / steps
 
-    # z - A on vec(Y)[m d + n] = Y_mn: the diagonal tau (gamma (m + n) +
-    # r (m - n)^2 / 2), then i tau (H kron I - I kron H^T) - 2 tau gamma (a kron a)
-    a = annihilation(d)
-    levels = np.arange(d)
-    diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * dephasing_rate * (levels[:, None] - levels) ** 2)
-    rows, cols = np.nonzero(h)
-    height = max(int(np.abs(rows - cols).max(initial=0)), 1)
-    chunks = [slice(lo, min(lo + height, d)) for lo in range(0, d, height)]
-    eye = np.eye(d)
-
-    def coupling(r, c):
-        return 1j * tau * _kron(h[r, c], eye) - 2.0 * tau * gamma * _kron(a[r, c], a)
-
-    diag, upper, lower = [], [], [None]
-    for r, below in zip(chunks, chunks[1:] + [None]):
-        block = coupling(r, r) - 1j * tau * _kron(np.eye(r.stop - r.start), h.T)
-        block[np.diag_indices(len(block))] += diagonal[r].reshape(-1)
-        diag.append(block)
-        if below is not None:
-            upper.append(coupling(r, below))
-            back = 1j * tau * _kron(h[below, r], eye)
-            lower.append(back if back.any() else None)
-
+    # the back-substitution's coefficients, laid out (m, node, 1, n) like the
+    # iterates (m, node, state, n), so that row m of every Y_k is one slice
     z, w = _contour(_CONTOUR_POINTS)
-    # Per node, the elimination keeps as many entries as the blocks hold, and
-    # inverting a block briefly takes three more copies of it.  The nodes are
-    # eliminated in groups of at most 4 d^4 such entries, the size of four
-    # dense d^2 x d^2 matrices, which is what the size check of
-    # zenolab.experiments charges a damping run, plus its d x d arrays.
-    per_node = sum(b.size for b in diag) + sum(b.size for b in upper) + 3 * max(b.size for b in diag)
-    group = max(1, min(len(z), 4 * d**4 // per_node))
-    groups = [slice(lo, lo + group) for lo in range(0, len(z), group)]
-    # with the nodes in one group, every substep reuses the one elimination
-    kept = _eliminate(diag, upper, lower, z) if len(groups) == 1 else None
+    levels, e = np.arange(d), np.diagonal(h)
+    charge = levels[:, None] - levels
+    diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * dephasing_rate * charge**2 + 1j * (e[:, None] - e))
+    inverse = 1.0 / (z[:, None, None] + diagonal[:, None, None, :])
+    root = np.sqrt(levels[1:])
+    jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, None, :] * inverse[:-1, :, :, :-1]
+    off = -1j * tau * (h - np.diag(e))
+
+    def solve(f, inverse, jump):
+        """``(z_k - T)^{-1} f`` at the nodes that ``inverse`` and ``jump`` hold: a back-substitution from the last row up."""
+        y = f * inverse
+        for m in range(d - 2, -1, -1):
+            y[m, :, :, :-1] += jump[m] * y[m + 1, :, :, 1:]
+        return y
+
+    def apply_b(y):
+        return (off @ y.reshape(d, -1)).reshape(y.shape) - (y.reshape(-1, d) @ off).reshape(y.shape)
+
+    def norm(y):
+        return np.sqrt(np.einsum("mpsn,mpsn->ps", y.conj(), y).real)
+
+    def substep(x):
+        """The node solutions ``Y_k`` of one substep."""
+        v = x.transpose(1, 0, 2)[:, None]
+        if not off.any():
+            return solve(v, inverse, jump)
+        norms = np.maximum(np.linalg.norm(x.reshape(s, -1), axis=1), np.finfo(float).tiny)
+        by, previous = 0.0, np.full(len(z), np.inf)
+        for j in range(_ITERATIONS):
+            y = solve(v + by, inverse, jump)
+            if not j:
+                # a node's error is about its residual times ||(z_k - T)^{-1} x||,
+                # which reaches 1e3 ||x|| at the far nodes of a long jump chain
+                weight = np.abs(w)[:, None] * np.maximum(1.0, norm(y) / norms)
+            # the residual (z_k - A) Y_{j+1} - x is B (Y_j - Y_{j+1})
+            by, residual = apply_b(y), by
+            residual -= by
+            error = (weight * norm(residual) / norms).max(axis=1)
+            done = _settled(error, previous)
+            if done.all():
+                return y
+            if (~done & (error > previous / 2)).any():
+                break
+            previous = error
+        del by, residual
+        y[:, ~done] = krylov(v, norms, weight[~done], np.flatnonzero(~done))
+        return y
+
+    def krylov(v, norms, weight, live):
+        """The solutions at nodes ``live`` by GMRES on ``(z_k - A)(z_k - T)^{-1}``; settled nodes leave the batch."""
+        out = np.empty((d, len(live), s, d), dtype=np.complex128)
+        at = np.arange(len(live))
+        inv, jmp = inverse[:, live], jump[:, live]
+        # per live node and state: the basis, the Hessenberg columns, kept
+        # triangular by Givens rotations, and the rotated right-hand side,
+        # whose last entry is the residual norm
+        basis = [np.broadcast_to(v / norms[:, None], (d, len(live), s, d))]
+        g = [np.broadcast_to(norms.astype(np.complex128), (len(live), s))]
+        columns, rotations = [], []
+        previous, done = np.full(len(live), np.inf), np.zeros(len(live), dtype=bool)
+        for j in range(_ITERATIONS + _KRYLOV_LEVELS * d):
+            # Arnoldi on I - B (z_k - T)^{-1}, by modified Gram-Schmidt
+            u = basis[j] - apply_b(solve(basis[j], inv, jmp))
+            column = []
+            for q in basis:
+                column.append(np.einsum("mpsn,mpsn->ps", q.conj(), u))
+                u -= column[-1][None, :, :, None] * q
+            size = norm(u)
+            basis.append(u / np.where(size > 0, size, 1.0)[None, :, :, None])
+            for i, (c, r) in enumerate(rotations):
+                column[i], column[i + 1] = c * column[i] + r * column[i + 1], c * column[i + 1] - r.conj() * column[i]
+            top = np.abs(column[j])
+            hyp = np.hypot(top, size)
+            hyp[hyp == 0] = 1.0  # a zero state's column: its coefficients stay 0
+            phase = np.where(top > 0, column[j] / np.where(top > 0, top, 1.0), 1.0)
+            c, r = top / hyp, phase * size / hyp
+            column[j] = phase * hyp
+            rotations.append((c, r))
+            g.append(-r.conj() * g[j])
+            g[j] = c * g[j]
+            columns.append(column)
+            error = (weight * np.abs(g[-1]) / norms).max(axis=1)
+            done |= _settled(error, previous)
+            previous = error
+            if 2 * done.sum() < len(done):
+                continue
+            # solve the triangular systems of the settled nodes, then drop them
+            tri = np.zeros((done.sum(), s, j + 1, j + 1), dtype=np.complex128)
+            for i, column in enumerate(columns):
+                tri[..., : i + 1, i] = np.stack([part[done] for part in column[: i + 1]], axis=-1)
+            coef = np.linalg.solve(tri, np.stack([part[done] for part in g[:-1]], axis=-1)[..., None])[..., 0]
+            combined = sum(coef[None, :, :, i, None] * q[:, done] for i, q in enumerate(basis[:-1]))
+            out[:, at[done]] = solve(combined, inv[:, done], jmp[:, done])
+            if done.all():
+                return out
+            keep = ~done
+            at, inv, jmp, weight, previous, done = at[keep], inv[:, keep], jmp[:, keep], weight[keep], previous[keep], done[keep]
+            for i, q in enumerate(basis):
+                basis[i] = q[:, keep]
+            g = [part[keep] for part in g]
+            columns = [[part[keep] for part in column] for column in columns]
+            rotations = [(c[keep], r[keep]) for c, r in rotations]
+        raise ValueError(
+            f"damped_action: the Krylov solve missed its residual after {j + 1} iterations at "
+            f"{len(at)} of {len(z)} nodes, weighted residual {previous.max():.3g}"
+        )
+
     for _ in range(steps):
-        v = x.reshape(s, d * d).T
-        y = np.zeros_like(v)
-        for nodes in groups:
-            factors = kept or _eliminate(diag, upper, lower, z[nodes])
-            y += np.einsum("p,pns->ns", w[nodes], _substitute(factors, lower, v))
-            del factors  # freed before the next group is eliminated, so one group is held at a time
-        x = y.T.reshape(s, d, d)
-        x = x + x.conj().transpose(0, 2, 1)
+        out = np.einsum("p,mpsn->smn", w, substep(x))
+        x = out + out.conj().transpose(0, 2, 1)
     return x
 
 

@@ -29,6 +29,8 @@ from .channels import (
     attenuator_deviation,
     attenuator_mixing_bound,
     damped_action,
+    damping_arrays,
+    damping_substeps,
     zeno_action,
 )
 from .fock import annihilation, coherent_vector, number_operator
@@ -103,13 +105,9 @@ _LIVE_MIXING_ARRAYS = 5
 # limits and the step's temporaries.  Past the products, peaks at d = 8 to
 # 128 with 1, 4 and 8 states held at most 9.5 such arrays per state plus one.
 _LIVE_ZENO_ARRAYS = 12
-# A damping run holds one node group of damped_action, at most 4 d^4
-# entries, and for each of its 24 nodes about two d x d arrays per state plus
-# one (the solves' right-hand sides and solutions).  Peaks at d = 6 to 24
-# with 1 to 32 states and every generator reached at most 0.93 of
-# 4 d^4 + 48 (S + 1) d^2.
-_DAMPING_GROUP = 4
-_LIVE_DAMPING_ARRAYS = 48
+# The most grid points a run lists, and damped_action's substeps over a grid.
+_GRID_POINTS = 10_000
+_SUBSTEP_BUDGET = 100_000
 
 
 class ConfigError(Exception):
@@ -250,8 +248,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     grid_count = _get(parser, "grid", "count", int, default=10)
     if grid_start < 1:
         raise ConfigError("grid.start", f"must be >= 1, got {grid_start}")
-    if grid_count < 1:
-        raise ConfigError("grid.count", f"must be >= 1, got {grid_count}")
+    if not 1 <= grid_count <= _GRID_POINTS:
+        raise ConfigError("grid.count", f"must lie in [1, {_GRID_POINTS}], got {grid_count}")
     if grid_count > 1 and grid_factor <= 1:
         raise ConfigError("grid.factor", f"must be > 1 for an increasing grid, got {grid_factor}")
 
@@ -289,27 +287,46 @@ def parse_config_text(text: str) -> ExperimentConfig:
         output_path=output_path,
     )
     _check_grid(cfg)
+    _check_work(cfg)
     _check_size(cfg)
     return cfg
 
 
 def _check_grid(cfg: ExperimentConfig) -> None:
-    """The grid stays finite and, where it is rounded to integers, has no repeats."""
+    """The grid's last point is finite, checked before the grid is listed; rounded grids have no repeats."""
     try:
-        grid = cfg.grid()
-    except OverflowError:  # float ** int, or rounding inf to an integer
-        grid = [math.inf]
-    if not math.isfinite(grid[-1]):
+        last = cfg.grid_start * cfg.grid_factor ** (cfg.grid_count - 1)
+    except OverflowError:  # float ** int
+        last = math.inf
+    if not math.isfinite(last):
         raise ConfigError(
             "grid.count",
             f"start * factor^(count-1) = {cfg.grid_start} * {cfg.grid_factor}^{cfg.grid_count - 1} "
             "overflows float64",
         )
+    grid = cfg.grid()
     if cfg.kind in _ROUNDED_KINDS and len(set(grid)) < len(grid):
         raise ConfigError(
             "grid.factor",
             f"the {cfg.kind} grid is rounded to integers, which repeats points: {grid}",
         )
+
+
+def _check_work(cfg: ExperimentConfig) -> None:
+    """A damping grid takes at most ``_SUBSTEP_BUDGET`` substeps, most at its smallest ``gamma``.
+
+    ``||H||_2`` is bounded without building ``H``: ``scale`` for a random
+    ``H``, ``(d - 1) scale`` for ``N`` and ``2 sqrt(d - 1) scale`` for ``a + a^dag``.
+    """
+    if cfg.kind != "damping" or cfg.generator_type != "hamiltonian":
+        return
+    d = cfg.dimension
+    scale = abs(cfg.generator_scale) if cfg.generator_scale is not None else 1.0 / d
+    norm = scale * {"random": 1.0, "number": d - 1.0, "quadrature": 2.0 * math.sqrt(d - 1)}[cfg.hamiltonian_kind]
+    steps = cfg.grid_count * damping_substeps(cfg.grid_start, cfg.t, norm)
+    if steps > _SUBSTEP_BUDGET:
+        field = "generator.scale" if cfg.generator_scale is not None else "experiment.t"
+        raise ConfigError(field, f"{steps:.3g} substeps, past {_SUBSTEP_BUDGET}, at t ||H||_2 <= {cfg.t * norm:.3g}")
 
 
 def _charge(cfg: ExperimentConfig) -> tuple:
@@ -320,9 +337,9 @@ def _charge(cfg: ExperimentConfig) -> tuple:
         count = _LIVE_MIXING_ARRAYS * arrays
         return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
     if cfg.kind == "damping":
-        count = _LIVE_DAMPING_ARRAYS * arrays
-        need = _DAMPING_GROUP * d**4 + count * d**2
-        return 16 * need, f"the damping kernel's node group and {count} complex {d}x{d} arrays"
+        # at worst damped_action's Krylov bases for all 24 contour nodes, which grow with d
+        count = math.ceil(damping_arrays(d) * arrays)
+        return 16 * count * d**2, f"the damping kernel's {count} complex {d}x{d} arrays"
     if cfg.kind == "zeno" and cfg.channel_type == "attenuator":
         count = _LIVE_ZENO_ARRAYS * arrays
         need = d * (d + 1) * (2 * d + 1) // 6 + count * d**2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -607,6 +608,24 @@ def test_damped_action_contract():
         damped_action(-1.0, 0.5, states)
     with pytest.raises(ValueError):
         damped_action(4.0, 0.5, states, hamiltonian=np.eye(5))
+
+
+@pytest.mark.parametrize("kind", ["quadrature", "random"])
+@pytest.mark.parametrize("d, gamma, t", [(4, 0.3, 2.0), (8, 2.0, 1.0), (12, 64.0, 0.5)])
+def test_damped_action_krylov_solve_matches_dense_oracle(monkeypatch, kind, d, gamma, t):
+    # one fixed-point iteration, then GMRES at every node: the Krylov path
+    # alone must reproduce the dense exponential, and map a zero state to 0
+    monkeypatch.setattr(channels, "_ITERATIONS", 1)
+    monkeypatch.setattr(channels, "_KRYLOV_LEVELS", 20)
+    h, _, l = generator_parts(kind, d, 2.0, d)
+    states = np.concatenate([damping_states(d, d), np.zeros((1, d, d))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = damped_action(gamma, t, states, hamiltonian=h)
+    steps = channels.damping_substeps(gamma, t, np.linalg.norm(h, 2))
+    exact = scipy.linalg.expm(t * (gamma * attenuator_generator(d).matrix + l.matrix))
+    for x, y in zip(states, got):
+        assert trace_norm(y - devectorize(exact @ vectorize(x))) <= 1e-12 * steps
 
 
 def counted_attenuator_steps(monkeypatch) -> list:

@@ -180,6 +180,26 @@ def test_oversized_mixing_config_exits_2_before_running(tmp_path, capsys, monkey
     assert "config error: experiment.dimension:" in err and "physical memory" in err
 
 
+def test_damping_solve_at_its_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # a Krylov solve that misses its residual within the cap ends the run
+    # with exit 3 naming the kernel, before any row is written
+    path = tmp_path / "damping.ini"
+    path.write_text(
+        GOOD.replace("kind = mixing", "kind = damping").replace("id = cli-mixing", "id = cli-damping")
+        .replace("start = 1", "start = 8")
+        + "\n[generator]\ntype = hamiltonian\nhamiltonian = random\nscale = 0.4\n"
+    )
+    monkeypatch.setattr(channels, "_ITERATIONS", 1)
+    monkeypatch.setattr(channels, "_KRYLOV_LEVELS", 0)
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation: damping: damped_action: the Krylov solve missed its residual" in err
+    assert not (tmp_path / "cli-damping.csv").exists()
+    monkeypatch.undo()
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 0
+    assert (tmp_path / "cli-damping.csv").exists()
+
+
 def test_binomial_system_dim_below_two_exits_2(tmp_path, capsys):
     path = tmp_path / "tiny.ini"
     path.write_text("[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 1\n[states]\nspecs = random:0\n")

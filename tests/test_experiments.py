@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -42,7 +43,7 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
-from zenolab.fock import number_operator
+from zenolab.fock import annihilation, number_operator
 from zenolab.linalg import trace_norm
 from zenolab.sampling import random_gapped_channel, random_operator, stream
 from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, one_one_norm_probe, zeno_error
@@ -183,13 +184,13 @@ def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
 def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind):
     # memory for exactly what an attenuator run holds at d = 100 with two
     # states admits d = 100, not d = 101 or a third state: zeno its weight
-    # products, sum_k k^2 entries, damping one node group of 4 d^4 entries,
-    # and each some d x d arrays per state plus one
+    # products, sum_k k^2 entries, and some d x d arrays per state plus one,
+    # damping the Krylov bases of its 24 nodes, d x d arrays per state plus one
     d = 100
     if kind == "zeno":
         entries = d * (d + 1) * (2 * d + 1) // 6 + experiments._LIVE_ZENO_ARRAYS * 3 * d**2
     else:
-        entries = 4 * d**4 + experiments._LIVE_DAMPING_ARRAYS * 3 * d**2
+        entries = math.ceil(channels.damping_arrays(d) * 3) * d**2
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": entries}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace("dimension = 10", f"dimension = {d}")
@@ -414,6 +415,155 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
     kernel = "zeno_action" if kind == "zeno" else "damped_action"
     monkeypatch.setattr(experiments, kernel, lambda *args: np.asarray(args[2]))
     assert peak() <= 16 * d**4 / 10
+
+
+def test_damping_with_a_dense_hamiltonian_at_d64_matches_expm():
+    # a random H at d = 64 and gamma = 2: the fixed-point iteration diverges
+    # at the far contour nodes, where the long jump chains make (z_k - T)^{-1}
+    # large, so GMRES solves them.  Against scipy's expm_multiply on the
+    # sparse generator, gamma (2 a x a^dag - N x - x N) - i [H, x] in
+    # row-major vec; the 48-node contour itself is off by about 2e-11 here
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
+    d = 64
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("hamiltonian = quadrature", "hamiltonian = random\nscale = 0.25")
+        .replace("start = 8", "start = 2")
+        .replace("count = 5", "count = 1")
+        .replace("fock:1, coherent:0.5", "random:0")
+    )
+    cfg = parse_config_text(text)
+    (row,) = run_experiment(cfg)
+    (_, x), = build_states(cfg, d)
+    h, _ = _generator_parts(cfg, d)
+    a, eye = sp.csr_matrix(annihilation(d)), sp.identity(d, format="csr")
+    n = a.T @ a
+    k = 2 * sp.kron(a, a) - sp.kron(n, eye) - sp.kron(eye, n)
+    l = -1j * (sp.kron(sp.csr_matrix(h), eye) - sp.kron(eye, sp.csr_matrix(h.T)))
+    exact = expm_multiply((cfg.t * (row.parameter * k + l)).tocsr(), x.reshape(-1)).reshape(d, d)
+    exact[0, 0] -= np.trace(x)
+    assert abs(row.error - trace_norm(exact)) <= 1e-10
+
+
+def test_damping_at_d128_parses_on_8_gib_and_matches_closed_form(monkeypatch):
+    # the split solve holds a few (d, 24, S, d) arrays, so d = 128 fits an
+    # 8 GiB host.  -i[sN, .] commutes with K: the row is
+    # ||Phi_{e^{-gamma t}}(U_t x U_t^dag) - |0><0| Tr x||_1, where U_t
+    # multiplies entry (m, n) by e^{-i t s (m - n)}
+    d, t, s = 128, 1.0, 0.01  # t ||H||_2 = 1.27: two substeps
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("hamiltonian = quadrature", f"hamiltonian = number\nscale = {s}")
+        .replace("count = 5", "count = 1")
+        .replace("fock:1, coherent:0.5", "random:0")
+    )
+    cfg = parse_config_text(text)
+    monkeypatch.undo()
+    run_experiment(cfg)  # lazy imports and caches settle first
+    tracemalloc.start()
+    try:
+        (row,) = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._charge(cfg)[0]
+    (_, x), = build_states(cfg, d)
+    charge = np.subtract.outer(np.arange(d), np.arange(d))
+    exact = attenuator_deviation(np.exp(-row.parameter * t), (x * np.exp(-1j * t * s * charge))[None])
+    assert abs(row.error - trace_norm(exact[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("d, specs", [(8, "random:0"), (24, "fock:1, coherent:0.5, random:0")])
+def test_damping_run_at_the_krylov_cap_stays_within_its_charge(monkeypatch, d, specs):
+    # no node ever settles, so every node keeps its Krylov basis up to the
+    # cap: the most a damping run can hold
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("hamiltonian = quadrature", "hamiltonian = random")
+        .replace("count = 5", "count = 1")
+        .replace("fock:1, coherent:0.5", specs)
+    )
+    cfg = parse_config_text(text)
+    monkeypatch.setattr(channels, "_RESIDUAL", -1.0)
+    monkeypatch.setattr(channels, "_RESIDUAL_FLOOR", -1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantViolation, match="Krylov solve missed its residual"):
+            run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._charge(cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("dimension = 10", "dimension = 10\nt = 1e6", "experiment.t"),
+        ("dimension = 10", "dimension = 10\nt = 1e300", "experiment.t"),
+        ("hamiltonian = quadrature", "hamiltonian = random\nscale = 1e200", "generator.scale"),
+        ("hamiltonian = quadrature", "hamiltonian = number\nscale = -1e5", "generator.scale"),
+    ],
+)
+def test_damping_substeps_are_bounded_at_parse_time(monkeypatch, old, new, field):
+    # each would ask damped_action for ceil(t ||H||_2) substeps per grid point;
+    # the parser bounds ||H||_2 without building H and never runs the case
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser built the Hamiltonian")
+
+    monkeypatch.setattr(experiments, "_generator_parts", refuse)
+    text = MINI_ZENO.replace("kind = zeno", "kind = damping").replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.field == field and "substeps" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["quadrature", "number", "random"])
+@pytest.mark.parametrize("d", [2, 5, 24, 100])
+def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
+    # with the budget one below the substeps damped_action takes over the
+    # grid, the parse-time estimate must refuse the run
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("dimension = 10", f"dimension = {d}\nt = 3.7")
+        .replace("hamiltonian = quadrature", f"hamiltonian = {kind}\nscale = 0.9")
+        .replace("fock:1, coherent:0.5", "fock:1")
+    )
+    cfg = parse_config_text(text)
+    h, _ = _generator_parts(cfg, d)
+    taken = sum(channels.damping_substeps(gamma, cfg.t, np.linalg.norm(h, 2)) for gamma in cfg.grid())
+    monkeypatch.setattr(experiments, "_SUBSTEP_BUDGET", taken - 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.field == "generator.scale"
+
+
+def test_huge_grid_count_fails_before_listing_the_grid():
+    # a factor near 1 keeps every point finite, so only the count can refuse it
+    text = (
+        MINI_ZENO.replace("kind = zeno", "kind = damping")
+        .replace("factor = 2", "factor = 1.0000001")
+        .replace("count = 5", f"count = {10**9}")
+    )
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == "grid.count"
+    assert time.perf_counter() - started < 1.0 and peak < 2**20
+    cfg = parse_config_text(text.replace(f"count = {10**9}", f"count = {experiments._GRID_POINTS}"))
+    assert cfg.grid_count == experiments._GRID_POINTS
 
 
 def test_damping_run_leaves_scipy_unimported(tmp_path):
