@@ -6,52 +6,24 @@ Strong damping limit of the attenuator semigroup
 Turns up the dissipation strength gamma in exp(t (gamma K + L)) and watches
 the total dynamics collapse onto the effective vacuum dynamics, with error
 falling like log(gamma)/gamma.
+
+The numbers are those of `zenolab run attenuator-damping`: d = 16,
+H = (a + a^dag)/d, t = 1 and gamma = 8 .. 2048.
 """
 
-import numpy as np
+from zenolab.experiments import preset_config, run_experiment
 
-from zenolab import (
-    DampingConfig,
-    HamiltonianCommutator,
-    annihilation,
-    attenuator_generator,
-    coherent_vector,
-    damping_error,
-    effective_dynamics,
-    fit_rate,
-    trace_distance,
-    vacuum_projection_superop,
-    vacuum_state,
-)
+state = "coherent:0.8"
+rows = [row for row in run_experiment(preset_config("attenuator-damping")) if row.state_id == state]
 
-d = 16
-t = 1.0
-gammas = [8.0 * 2**j for j in range(9)]  # 8 .. 2048
+print(f"  gamma    ||exp(t(gamma K + L)) - effective||_1 ({state})")
+for row in rows:
+    print(f"  {row.parameter:6.0f}   {row.error:.6e}")
 
-a = annihilation(d)
-k = attenuator_generator(d)
-p = vacuum_projection_superop(d)
-l = HamiltonianCommutator(hamiltonian=(a + a.conj().T) / d).to_superoperator(d)
-
-rho = coherent_vector(0.8, d).projector()
-cfg = DampingConfig(k=k, l=l, p=p, t=t, gamma_grid=gammas, test_states=(("coherent:0.8", rho),))
-cfg.validate()
-eff = effective_dynamics(p, l, t)
-
-print("  gamma    ||exp(t(gamma K + L)) - effective||_1")
-records = []
-for gamma in gammas:
-    rec = damping_error(cfg, gamma, rho, state_id="coherent:0.8", effective=eff)
-    records.append(rec)
-    print(f"  {gamma:6.0f}   {rec.error:.6e}")
-
-fit = fit_rate(records, model="power_log")
-print(f"\npower-log fit: error ~ C log(gamma)/gamma^p with p = {fit.exponent:.3f}")
+print(f"\npower-log fit: error ~ C log(gamma)/gamma^p with p = {rows[0].fitted_p:.3f}")
 
 # The total dynamics is trace preserving and L moves nothing out of the
-# vacuum on average, so the strong-damping limit is the vacuum itself.
-from zenolab import damped_evolution
-
-final = damped_evolution(cfg, gammas[-1], rho)
-print(f"trace distance of the gamma={gammas[-1]:.0f} state to the vacuum:",
-      f"{trace_distance(final, vacuum_state(d)):.2e}")
+# vacuum on average, so the strong-damping limit is the vacuum itself, and
+# a row's error is twice the trace distance of the evolved state to it.
+last = rows[-1]
+print(f"trace distance of the gamma={last.parameter:.0f} state to the vacuum:", f"{last.error / 2:.2e}")

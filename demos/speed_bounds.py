@@ -12,28 +12,26 @@ up to a constant.  For the attenuator the chain collapses after two states,
 the mixing tables decay exponentially, and the choice
 N_l = floor(log n / log(1/|eta|)) turns the supremum into an explicit
 log(n)/n envelope.  The script evaluates that pipeline and compares it to
-the measured error.
+the measured error, which comes from the sweep engine of `zenolab run`.
 """
 
 import numpy as np
 
 from zenolab import (
     HamiltonianCommutator,
-    ZenoConfig,
     annihilation,
     attenuator_kraus,
     attenuator_speed_bound,
     chain_states,
     constant_big_n,
-    effective_dynamics,
     mixing_speed_empirical,
     one_one_norm_probe,
     theoretical_zeno_bound_ssup,
     to_superoperator,
     trace_norm,
     vacuum_projection_superop,
-    zeno_error,
 )
+from zenolab.experiments import parse_config_text, run_experiment
 
 d = 8
 eta = 0.5
@@ -65,12 +63,32 @@ l_norm = one_one_norm_probe(l)
 print(f"\n||L|| probe lower bound: {l_norm.value:.6g} ({l_norm.probe_count} probes)")
 
 # --- the bound core vs the measured error ------------------------------------
-cfg = ZenoConfig(m=m, l=l, p=p, t=t, n_grid=(8,), test_states=())
-eff = effective_dynamics(p, l, t)
+# the same instance as a zeno sweep: H = (a + a^dag)/d is the default
+# quadrature Hamiltonian, and n = 8, 32, 128, 512
+sweep = parse_config_text(
+    f"""
+[experiment]
+kind = zeno
+dimension = {d}
+t = {t}
+
+[channel]
+eta_re = {eta}
+
+[grid]
+start = 8
+factor = 4
+count = 4
+
+[states]
+specs = fock:1
+"""
+)
+rows = run_experiment(sweep)
 
 print("\n   n    measured error   bound core s_sup   argmax l (inside truncation)")
-for n in (8, 32, 128, 512):
-    err = zeno_error(cfg, n, rho, effective=eff).error
+for row in rows:
+    n, err = int(row.parameter), row.error
     big_n = constant_big_n(n, eta, l_max)
     bound = theoretical_zeno_bound_ssup(tables, l_norm.value, t, n, big_n, trace_norm(rho), l_max=l_max)
     print(f"  {n:4d}   {err:.6e}     {bound.value:.6e}     l*={bound.argmax_l} ({bound.attained_inside_truncation})")

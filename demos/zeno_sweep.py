@@ -5,51 +5,30 @@ Quantum Zeno limit of the attenuator
 
 Interleaves n photon-loss events with n slices of a Hamiltonian evolution
 and watches (M e^{tL/n})^n approach the effective dynamics e^{tPLP} P.
-The error falls like log(n)/n; the script fits the rate and renders a
-log-log picture.
+The error falls like log(n)/n; the sweep fits the rate, and the script
+renders a log-log picture.
+
+The numbers are those of `zenolab run attenuator-zeno`: d = 16, eta = 0.5,
+H = (a + a^dag)/d, t = 1 and n = 8 .. 4096.
 """
 
 import numpy as np
 
-from zenolab import (
-    HamiltonianCommutator,
-    ZenoConfig,
-    annihilation,
-    attenuator_kraus,
-    coherent_vector,
-    effective_dynamics,
-    fit_log_envelope,
-    fit_rate,
-    to_superoperator,
-    vacuum_projection_superop,
-    zeno_error,
-)
+from zenolab.experiments import preset_config, run_experiment
 
-d = 16
-eta = 0.5
-t = 1.0
-grid = [8 * 2**j for j in range(10)]  # 8 .. 4096
+state = "coherent:0.8"
+rows = [row for row in run_experiment(preset_config("attenuator-zeno")) if row.state_id == state]
 
-a = annihilation(d)
-hamiltonian = (a + a.conj().T) / d  # off-diagonal, so L does not commute with M
-m = to_superoperator(attenuator_kraus(eta, d))
-p = vacuum_projection_superop(d)
-l = HamiltonianCommutator(hamiltonian=hamiltonian).to_superoperator(d)
+# errors are printed to every digit the CSV holds
+print(f"   n      ||Zeno - effective||_1 ({state})    bound C log(n)/n")
+for row in rows:
+    print(f"  {int(row.parameter):5d}   {row.error!r:<32} {row.bound:.6e}")
 
-rho = coherent_vector(0.8, d).projector()
-cfg = ZenoConfig(m=m, l=l, p=p, t=t, n_grid=grid, test_states=(("coherent:0.8", rho),))
-cfg.validate()
-eff = effective_dynamics(p, l, t)
-
-records = [zeno_error(cfg, n, rho, state_id="coherent:0.8", effective=eff) for n in grid]
-print("   n      ||Zeno - effective||_1")
-for rec in records:
-    print(f"  {int(rec.parameter):5d}   {rec.error:.6e}")
-
-fit = fit_rate(records, model="power_log")
-envelope, holds = fit_log_envelope(records)
-print(f"\npower-log fit: error ~ C log(n)/n^p with p = {fit.exponent:.3f}, C = {fit.constant:.3g}")
-print(f"envelope C log(n)/n pinned at n=8: C = {envelope:.3g}, dominates rest of grid: {holds}")
+first = rows[0]
+envelope = first.bound * first.parameter / np.log(first.parameter)
+holds = all(row.error <= row.bound + 1e-15 for row in rows)
+print(f"\npower-log fit: error ~ C log(n)/n^p with p = {first.fitted_p:.3f}, C = {first.fitted_c:.3g}")
+print(f"envelope C log(n)/n pinned at n={int(first.parameter)}: C = {envelope:.3g}, dominates rest of grid: {holds}")
 
 try:
     import matplotlib
@@ -57,11 +36,10 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    ns = [rec.parameter for rec in records]
-    errs = [rec.error for rec in records]
+    ns = [row.parameter for row in rows]
     fig, ax = plt.subplots(figsize=(6, 4.5))
-    ax.loglog(ns, errs, "o-", label="measured error")
-    ax.loglog(ns, [envelope * np.log(n) / n for n in ns], "--", label="C log(n)/n envelope")
+    ax.loglog(ns, [row.error for row in rows], "o-", label="measured error")
+    ax.loglog(ns, [row.bound for row in rows], "--", label="C log(n)/n envelope")
     ax.set_xlabel("n")
     ax.set_ylabel("trace-norm error")
     ax.grid(True, which="both", alpha=0.3)

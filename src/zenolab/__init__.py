@@ -6,7 +6,6 @@ from .linalg import (
     devectorize,
     kron,
     matrix_exp,
-    singular_values,
     trace_norm,
     vectorize,
 )
@@ -28,7 +27,6 @@ from .channels import (
     attenuator_generator,
     attenuator_kraus,
     attenuator_mixing_bound,
-    cesaro_mean,
     choi_matrix,
     identity_superoperator,
     is_completely_positive,
@@ -52,21 +50,17 @@ from .binomial import (
     workhorse_limit_check,
 )
 from .zeno import (
-    ConvergenceRecord,
-    DampingConfig,
     FitResult,
     ZenoConfig,
     attenuator_speed_bound,
     chain_states,
     constant_big_n,
     damped_evolution,
-    damping_error,
     effective_dynamics,
     fit_log_envelope,
     fit_rate,
     one_one_norm_probe,
     theoretical_zeno_bound_ssup,
-    zeno_error,
     zeno_product,
     zeno_product_iterated,
 )

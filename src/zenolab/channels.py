@@ -34,7 +34,6 @@ __all__ = [
     "vacuum_projection_superop",
     "mixing_speed_empirical",
     "attenuator_mixing_bound",
-    "cesaro_mean",
     "positive_part_decomposition",
 ]
 
@@ -718,18 +717,6 @@ def attenuator_mixing_bound(eta: complex, n_or_gamma, rho, *, continuous: bool =
     if continuous:
         return 4.0 * float(np.exp(-n_or_gamma)) * weight
     return 4.0 * abs(complex(eta)) ** n_or_gamma * weight
-
-
-def cesaro_mean(m: Superoperator, n: int) -> Superoperator:
-    """(1/n) sum_{k=1}^{n} M^k."""
-    if n < 1:
-        raise ValueError("Cesaro mean requires n >= 1")
-    acc = np.zeros_like(m.matrix)
-    power = np.eye(m.matrix.shape[0], dtype=np.complex128)
-    for _ in range(n):
-        power = power @ m.matrix
-        acc = acc + power
-    return Superoperator(matrix=acc / n, label=f"cesaro-{n}")
 
 
 def positive_part_decomposition(x) -> tuple:

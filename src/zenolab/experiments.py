@@ -42,13 +42,7 @@ from .sampling import (
     random_operator,
     stream,
 )
-from .zeno import (
-    ConvergenceRecord,
-    ZenoConfig,
-    effective_dynamics,
-    fit_log_envelope,
-    fit_rate,
-)
+from .zeno import ZenoConfig, effective_dynamics, fit_log_envelope, fit_rate
 
 __all__ = [
     "ConfigError",
@@ -105,8 +99,10 @@ _LIVE_MIXING_ARRAYS = 5
 # limits and the step's temporaries.  Past the products, peaks at d = 8 to
 # 128 with 1, 4 and 8 states held at most 9.5 such arrays per state plus one.
 _LIVE_ZENO_ARRAYS = 12
-# The most grid points a run lists, and damped_action's substeps over a grid.
+# The most grid points a run lists, zeno_action's steps over a grid, and
+# damped_action's substeps over a grid.
 _GRID_POINTS = 10_000
+_STEP_BUDGET = 1_000_000
 _SUBSTEP_BUDGET = 100_000
 
 
@@ -169,6 +165,12 @@ class ReportRow:
     fitted_c: float | None
     fitted_p: float | None
     wall_time_ms: float
+
+    def __post_init__(self):
+        if self.error < 0:
+            raise ValueError("error must be nonnegative")
+        if self.bound is not None and self.bound < 0:
+            raise ValueError("bound must be nonnegative when present")
 
 
 def _get(parser, section, key, cast, default=None, required=False):
@@ -313,11 +315,19 @@ def _check_grid(cfg: ExperimentConfig) -> None:
 
 
 def _check_work(cfg: ExperimentConfig) -> None:
-    """A damping grid takes at most ``_SUBSTEP_BUDGET`` substeps, most at its smallest ``gamma``.
+    """A zeno grid takes at most ``_STEP_BUDGET`` steps, a damping grid ``_SUBSTEP_BUDGET`` substeps.
 
-    ``||H||_2`` is bounded without building ``H``: ``scale`` for a random
-    ``H``, ``(d - 1) scale`` for ``N`` and ``2 sqrt(d - 1) scale`` for ``a + a^dag``.
+    A zeno point ``n`` takes at most ``n`` steps, all of them when ``M`` does
+    not mix.  A damping point takes the most substeps at the smallest
+    ``gamma``; ``||H||_2`` is bounded without building ``H``: ``scale`` for
+    a random ``H``, ``(d - 1) scale`` for ``N`` and ``2 sqrt(d - 1) scale``
+    for ``a + a^dag``.
     """
+    if cfg.kind == "zeno":
+        steps = sum(cfg.grid())
+        if steps > _STEP_BUDGET:
+            raise ConfigError("grid.start", f"{steps:.3g} steps over the grid, past {_STEP_BUDGET}")
+        return
     if cfg.kind != "damping" or cfg.generator_type != "hamiltonian":
         return
     d = cfg.dimension
@@ -486,18 +496,18 @@ def generator_norm(cfg: ExperimentConfig) -> float:
 # the sweep engine and the per-kind runners
 
 
-def _sweep(grid, act, states) -> list:
-    """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ConvergenceRecord``s.
+def _sweep(cfg: ExperimentConfig, act, states) -> list:
+    """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ReportRow``s.
 
     ``act(x, batch)`` returns the images of the state matrices ``batch``
     under the map at ``x`` minus its limit, one per state.  The grid points
-    run in order, one after another.  A record's ``wall_time_s`` is an even
+    run in order, one after another.  A row's ``wall_time_ms`` is an even
     share of its point's ``act`` time plus its own error evaluation, so a
-    run's records sum to its sweep.
+    run's rows sum to its sweep.  No row has a bound or a fit yet.
     """
     batch = [rho for _, rho in states]
-    records = []
-    for x in grid:
+    rows = []
+    for x in cfg.grid():
         started = time.perf_counter()
         images = act(x, batch)
         share = (time.perf_counter() - started) / len(states)
@@ -505,47 +515,40 @@ def _sweep(grid, act, states) -> list:
             started = time.perf_counter()
             err = trace_norm(image)
             wall = share + time.perf_counter() - started
-            records.append(ConvergenceRecord(float(x), err, None, state_id, wall))
-    return records
-
-
-def _rows(cfg: ExperimentConfig, records, fit_model: str | None = None) -> list:
-    """The CSV rows of a run's records, grouped by state in parameter order.
-
-    Without ``fit_model`` each row keeps its record's bound.  With it, each
-    state of at least four records, all errors positive and all parameters
-    above 1, gets a ``fit_rate`` fit and the bound ``C log(x)/x`` with ``C``
-    pinned at its first point (``fit_log_envelope``); other states get none.
-    """
-    by_state = {}
-    for record in records:
-        by_state.setdefault(record.state_id, []).append(record)
-    rows = []
-    for state_id, recs in by_state.items():
-        recs.sort(key=lambda r: r.parameter)
-        fitted_c = fitted_p = envelope = None
-        if fit_model and len(recs) >= 4 and all(r.error > 0 for r in recs) and recs[0].parameter > 1:
-            fit = fit_rate(recs, model=fit_model)
-            fitted_c, fitted_p = fit.constant, fit.exponent
-            envelope, _ = fit_log_envelope(recs)
-        for r in recs:
-            bound = r.bound
-            if envelope is not None:
-                bound = envelope * float(np.log(r.parameter)) / r.parameter
             rows.append(
-                ReportRow(
-                    experiment_id=cfg.experiment_id,
-                    kind=cfg.kind,
-                    parameter=r.parameter,
-                    state_id=state_id,
-                    error=r.error,
-                    bound=bound,
-                    fitted_c=fitted_c,
-                    fitted_p=fitted_p,
-                    wall_time_ms=r.wall_time_s * 1000.0,
-                )
+                ReportRow(cfg.experiment_id, cfg.kind, float(x), state_id, err, None, None, None, wall * 1000.0)
             )
     return rows
+
+
+def _fitted(rows, fit_model: str) -> list:
+    """The rows with the fitted columns of their state, grouped by state in parameter order.
+
+    Each state of at least four rows, all errors positive and all parameters
+    above 1, gets a ``fit_rate`` fit and the bound ``C log(x)/x`` with ``C``
+    pinned at its first point (``fit_log_envelope``); other states keep
+    their rows as they are.
+    """
+    by_state = {}
+    for row in rows:
+        by_state.setdefault(row.state_id, []).append(row)
+    out = []
+    for own in by_state.values():
+        own.sort(key=lambda r: r.parameter)
+        if len(own) >= 4 and all(r.error > 0 for r in own) and own[0].parameter > 1:
+            fit = fit_rate(own, model=fit_model)
+            envelope, _ = fit_log_envelope(own)
+            own = [
+                replace(
+                    r,
+                    bound=envelope * float(np.log(r.parameter)) / r.parameter,
+                    fitted_c=fit.constant,
+                    fitted_p=fit.exponent,
+                )
+                for r in own
+            ]
+        out.extend(own)
+    return out
 
 
 def _run_mixing(cfg: ExperimentConfig) -> list:
@@ -558,13 +561,11 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
         eta_n = cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta))
         return attenuator_deviation(eta_n, batch)
 
-    records = _sweep(cfg.grid(), act, states)
     rho = dict(states)
-    records = [
+    return [
         replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
-        for r in records
+        for r in _sweep(cfg, act, states)
     ]
-    return _rows(cfg, records)
 
 
 def _vacuum_limits(states) -> np.ndarray:
@@ -587,13 +588,12 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
     _, d = _state_dim(cfg)
     h, rate = _generator_parts(cfg, d)
     states = build_states(cfg, d)
-    grid = cfg.grid()
     if cfg.channel_type == "attenuator":
         attenuator_check(cfg.eta, states)
         channel, limits = cfg.eta, _vacuum_limits(states)
     else:
         channel, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
-        zcfg = ZenoConfig(m=channel, l=_build_generator(cfg, d), p=p, t=cfg.t, n_grid=grid, test_states=states)
+        zcfg = ZenoConfig(m=channel, l=_build_generator(cfg, d), p=p, t=cfg.t, n_grid=cfg.grid(), test_states=states)
         zcfg.validate()
         eff = effective_dynamics(p, zcfg.l, cfg.t)
         limits = np.stack([apply(eff, rho) for _, rho in states])
@@ -602,8 +602,7 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
     def act(n, batch):
         return zeno_action(n, cfg.t, batch, channel, h, rate) - limits
 
-    records = _sweep(grid, act, states)
-    return _rows(cfg, records, "power_log")
+    return _fitted(_sweep(cfg, act, states), "power_log")
 
 
 def _run_damping(cfg: ExperimentConfig) -> list:
@@ -621,8 +620,7 @@ def _run_damping(cfg: ExperimentConfig) -> list:
     def act(gamma, batch):
         return damped_action(gamma, cfg.t, batch, h, rate) - limits
 
-    records = _sweep(cfg.grid(), act, states)
-    return _rows(cfg, records, "power_log")
+    return _fitted(_sweep(cfg, act, states), "power_log")
 
 
 def _run_binomial(cfg: ExperimentConfig) -> list:
@@ -645,20 +643,21 @@ def _run_binomial(cfg: ExperimentConfig) -> list:
         # one product per state: a batched product would sum in another order
         return [devectorize(diff @ vectorize(rho)) for rho in batch]
 
-    records = _sweep(cfg.grid(), act, states)
-    return _rows(cfg, records, fit_model)
+    return _fitted(_sweep(cfg, act, states), fit_model)
 
 
 def _run_simplex(cfg: ExperimentConfig) -> list:
-    records = []
+    rows = []
     for n in cfg.grid():
         for k in range(1, min(n, cfg.k_max) + 1):
             started = time.perf_counter()
             check = bn.simplex_ratio_bound_check(n, k)
             error = abs(check.ratio - check.limit)
             wall = time.perf_counter() - started
-            records.append(ConvergenceRecord(float(n), error, check.bound, f"k={k}", wall))
-    return _rows(cfg, records)
+            rows.append(
+                ReportRow(cfg.experiment_id, cfg.kind, float(n), f"k={k}", error, check.bound, None, None, wall * 1000.0)
+            )
+    return rows
 
 
 _RUNNERS = {

@@ -1,6 +1,6 @@
 """Dense linear algebra used throughout the package.
 
-Matrices are plain ``numpy.ndarray``, complex128 unless stated otherwise.
+Matrices are plain ``numpy.ndarray`` of complex128.
 The vectorization convention is column stacking, fixed so that
 
     vec(A @ X @ B) == (B.T kron A) @ vec(X)
@@ -17,8 +17,8 @@ Anal. Appl. 26, 2005), is the same as for term-by-term summation.  It holds
 at most four ``D x D`` work arrays.
 
 The product kernels (:func:`matrix_power` and the polynomial products and
-squarings of :func:`matrix_exp`) keep their input's dtype, real float64 or
-complex128, and flush every real or imaginary part below
+squarings of :func:`matrix_exp`) work in complex128, whatever the input's
+dtype, and flush every real or imaginary part below
 ``FLOOR = sqrt(finfo(float64).tiny)`` (about 1.49e-154) to zero after each
 product.  The Zeno and strong-damping limits drive most entries towards
 zero like ``|eta|^n`` or ``exp(-gamma t)``; without the flush, repeated
@@ -42,7 +42,6 @@ __all__ = [
     "kron",
     "vectorize",
     "devectorize",
-    "singular_values",
     "trace_norm",
     "matrix_exp",
     "matrix_power",
@@ -88,11 +87,6 @@ def devectorize(v) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
-
-
 def trace_norm(a) -> float:
     """Sum of singular values of a square matrix."""
     a = as_matrix(a)
@@ -104,8 +98,8 @@ def trace_norm(a) -> float:
 def _flush_underflow(a: np.ndarray) -> np.ndarray:
     """Zero, in place, every real or imaginary part of magnitude below FLOOR.
 
-    ``a`` must be a freshly computed, contiguous float64 or complex128
-    product; the array is returned for chaining.
+    ``a`` must be a freshly computed, contiguous complex128 product; the
+    array is returned for chaining.
     """
     v = a.view(np.float64)
     m = v < FLOOR
@@ -115,13 +109,10 @@ def _flush_underflow(a: np.ndarray) -> np.ndarray:
 
 
 def _square_operand(a, name: str) -> np.ndarray:
-    """A square matrix for the product kernels: real input as float64, any other as complex128."""
-    m = np.asarray(a)
-    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """A finite square complex128 matrix for the product kernels."""
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} requires a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
     return m
 
 
@@ -133,8 +124,8 @@ def matrix_power(a, n: int) -> np.ndarray:
     product is passed through the underflow flush described in the module
     docstring; the flush touches only freshly allocated products, never
     ``a`` itself, and bounds the change of any column's 1-norm by
-    ``sqrt(2) * D * FLOOR`` per product.  The result is always a new array,
-    also for n = 1, real float64 for real input and complex128 otherwise.
+    ``sqrt(2) * D * FLOOR`` per product.  The result is always a new
+    complex128 array, also for n = 1.
     """
     a = _square_operand(a, "matrix_power")
     if n < 1:
@@ -211,8 +202,7 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
 
     Memory: besides the input, at most four ``D x D`` work arrays are live
     (``x^2``, ``x^3`` and two Horner buffers; the squarings ping-pong
-    between the two buffers), plus the flush's boolean masks.  Real input
-    gives a real float64 result, any other a complex128 one.
+    between the two buffers), plus the flush's boolean masks.
     """
     a = _square_operand(a, "matrix_exp")
     if not tol > 0:

@@ -4,24 +4,21 @@ The engine computes (M exp(tL/n))^n and exp(t(gamma K + L)) on the
 superoperator level, compares them against the effective dynamics
 exp(t PLP) P, and quantifies convergence rates by log-log least squares.
 
-The products and errors here (``zeno_product``, ``damped_evolution``,
-``zeno_error``, ``damping_error``) use the complex column-stacking
-matrices and accept any linear maps; they are also the dense reference the
-tests hold the sweeps to.  ``ZenoConfig.validate`` and
-``DampingConfig.validate`` run on the same matrices; of the sweeps of
-:mod:`zenolab.experiments`, only the gapped zeno channel takes its checks
-and its limit this way.  For the attenuator the same checks are closed
-forms on its Kraus weights (:func:`zenolab.channels.attenuator_check`), and
-the limit is ``|0><0| Tr x``, because every generator of a sweep preserves
-the trace.  The sweeps apply their maps to the test states matrix-free:
-``(M exp(tL/n))^n`` by iterating the step
+``zeno_product`` and ``damped_evolution`` use the complex column-stacking
+matrices and accept any linear maps; they are the dense reference the tests
+hold the sweeps to.  ``ZenoConfig.validate`` runs on the same matrices; of
+the sweeps of :mod:`zenolab.experiments`, only the gapped zeno channel takes
+its checks and its limit this way.  For the attenuator the same checks are
+closed forms on its Kraus weights (:func:`zenolab.channels.attenuator_check`),
+and the limit is ``|0><0| Tr x``, because every generator of a sweep
+preserves the trace.  The sweeps apply their maps to the test states
+matrix-free: ``(M exp(tL/n))^n`` by iterating the step
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
 contour integral (:func:`zenolab.channels.damped_action`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +35,13 @@ from .linalg import (
 )
 
 __all__ = [
-    "ConvergenceRecord",
     "ZenoConfig",
-    "DampingConfig",
     "SpeedBound",
     "FitResult",
     "zeno_product",
     "zeno_product_iterated",
     "effective_dynamics",
-    "zeno_error",
     "damped_evolution",
-    "damping_error",
     "chain_states",
     "constant_big_n",
     "theoretical_zeno_bound_ssup",
@@ -59,23 +52,6 @@ __all__ = [
 ]
 
 SSUP_L_MAX = 12
-
-
-@dataclass(frozen=True)
-class ConvergenceRecord:
-    """One row of a convergence sweep."""
-
-    parameter: float
-    error: float
-    bound: float | None
-    state_id: str
-    wall_time_s: float
-
-    def __post_init__(self):
-        if self.error < 0:
-            raise ValueError("error must be nonnegative")
-        if self.bound is not None and self.bound < 0:
-            raise ValueError("bound must be nonnegative when present")
 
 
 def _check_projection_compat(m_mat, p_mat, what: str):
@@ -147,44 +123,6 @@ class ZenoConfig:
         _check_projection_compat(self.m.matrix, self.p.matrix, "M")
 
 
-@dataclass(frozen=True)
-class DampingConfig:
-    """Inputs for a damping sweep: semigroup generator K, perturbation L."""
-
-    k: Superoperator
-    l: Superoperator
-    p: Superoperator
-    t: float
-    gamma_grid: tuple
-    test_states: tuple
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        grid = tuple(float(g) for g in self.gamma_grid)
-        if not grid or any(g <= 0 for g in grid) or sorted(grid) != list(grid):
-            raise ValueError("gamma_grid must be ascending positive floats")
-        object.__setattr__(self, "gamma_grid", grid)
-        states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
-        object.__setattr__(self, "test_states", states)
-
-    def validate(self):
-        """Contractivity of exp(sK) and projection compatibility of exp(K).
-
-        Runs on the complex matrices, with the requirements of
-        :meth:`ZenoConfig.validate` for K, L and P.  Only exp(0.1 K) is a
-        stiff exponential; exp(K) and exp(10 K) are its 10th and 100th powers
-        (4 products each).
-        """
-        _check_hermiticity_preserving(K=self.k, L=self.l, P=self.p)
-        exp_tenth = matrix_exp(0.1 * self.k.matrix)
-        exp_k = matrix_power(exp_tenth, 10)
-        exp_ten_k = matrix_power(exp_k, 10)
-        for s, exp_sk in ((0.1, exp_tenth), (1.0, exp_k), (10.0, exp_ten_k)):
-            _check_contractive(exp_sk, self.test_states, f"exp({s} K)")
-        _check_projection_compat(exp_k, self.p.matrix, "exp(K)")
-
-
 def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
     """(M exp(tL/n))^n applied to x, by binary exponentiation."""
     if n < 1:
@@ -210,21 +148,7 @@ def effective_dynamics(p: Superoperator, l: Superoperator, t: float) -> Superope
     return Superoperator(matrix=matrix_exp(t * (pm @ l.matrix @ pm)) @ pm, label="effective")
 
 
-def zeno_error(cfg: ZenoConfig, n: int, rho, state_id: str = "", effective=None) -> ConvergenceRecord:
-    started = time.perf_counter()
-    eff = effective if effective is not None else effective_dynamics(cfg.p, cfg.l, cfg.t)
-    out = zeno_product(cfg, n, rho)
-    err = trace_norm(out - apply(eff, rho))
-    return ConvergenceRecord(
-        parameter=float(n),
-        error=err,
-        bound=None,
-        state_id=state_id,
-        wall_time_s=time.perf_counter() - started,
-    )
-
-
-def damped_evolution(cfg: DampingConfig, gamma: float, x) -> np.ndarray:
+def damped_evolution(k: Superoperator, l: Superoperator, t: float, gamma: float, x) -> np.ndarray:
     """exp(t (gamma K + L)) applied to x, by one dense exponential.
 
     The dense reference for any K and L: the damping sweep of
@@ -234,22 +158,8 @@ def damped_evolution(cfg: DampingConfig, gamma: float, x) -> np.ndarray:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    total = matrix_exp(cfg.t * (gamma * cfg.k.matrix + cfg.l.matrix))
+    total = matrix_exp(t * (gamma * k.matrix + l.matrix))
     return devectorize(total @ vectorize(x))
-
-
-def damping_error(cfg: DampingConfig, gamma: float, rho, state_id: str = "", effective=None) -> ConvergenceRecord:
-    started = time.perf_counter()
-    eff = effective if effective is not None else effective_dynamics(cfg.p, cfg.l, cfg.t)
-    out = damped_evolution(cfg, gamma, rho)
-    err = trace_norm(out - apply(eff, rho))
-    return ConvergenceRecord(
-        parameter=float(gamma),
-        error=err,
-        bound=None,
-        state_id=state_id,
-        wall_time_s=time.perf_counter() - started,
-    )
 
 
 def chain_states(l: Superoperator, p: Superoperator, t: float, x, length: int) -> list:
@@ -432,6 +342,9 @@ class FitResult:
 
 def fit_rate(records, model: str = "pure_power") -> FitResult:
     """Least-squares rate fit on log error vs log parameter.
+
+    ``records`` are anything with ``.parameter`` and ``.error``, such as the
+    :class:`zenolab.experiments.ReportRow` of one state.
 
     pure_power:  log e = log C - p log n
     power_log:   log e = log C + log log n - p log n

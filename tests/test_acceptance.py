@@ -26,6 +26,7 @@ at the default dimension 24, where every tail is below 1e-12.
 import time
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,7 +57,6 @@ from zenolab.fock import annihilation, coherent_vector, trace_distance, vacuum_s
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.sampling import random_gapped_channel, random_operator, stream
 from zenolab.zeno import (
-    ConvergenceRecord,
     ZenoConfig,
     effective_dynamics,
     fit_rate,
@@ -230,10 +230,7 @@ def test_criterion_07_binomial_limit_gapped_contraction():
     target = matrix_exp(p.matrix @ l @ p.matrix) @ p.matrix
     grid = [8 * 2**j for j in range(10)]  # 8 .. 4096
     errors = [np.linalg.norm(binomial_product(m.matrix, l, n) - target, 2) for n in grid]
-    records = [
-        ConvergenceRecord(parameter=float(n), error=e, bound=None, state_id="op", wall_time_s=0.0)
-        for n, e in zip(grid, errors)
-    ]
+    records = [SimpleNamespace(parameter=float(n), error=e) for n, e in zip(grid, errors)]
     fit = fit_rate(records, model="power_log")
     ok = errors[-1] <= 1e-2 and fit.exponent >= 0.9
     _report(7, ok, f"gapped binomial limit: err(4096)={errors[-1]:.3e}, fitted p={fit.exponent:.3f}")

@@ -19,7 +19,6 @@ from zenolab.channels import (
     attenuator_generator,
     attenuator_kraus,
     attenuator_mixing_bound,
-    cesaro_mean,
     choi_matrix,
     damped_action,
     identity_superoperator,
@@ -35,7 +34,7 @@ from zenolab.experiments import PRESETS, _generator_parts, build_states, parse_c
 from zenolab.fock import annihilation, coherent_vector, number_operator, particle_number, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.sampling import random_hermitian
-from zenolab.zeno import DampingConfig, ZenoConfig, damped_evolution, effective_dynamics, zeno_product
+from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, zeno_product
 
 RNG = np.random.default_rng(31337)
 
@@ -396,23 +395,6 @@ def test_attenuator_mixing_bound_values():
     assert gamma_val == pytest.approx(4 * np.exp(-2.0) * (particle_number(rho) + 1))
 
 
-def test_cesaro_mean_identity_and_projection():
-    ident = identity_superoperator(3)
-    assert np.allclose(cesaro_mean(ident, 7).matrix, np.eye(9))
-    p = vacuum_projection_superop(3)
-    assert np.linalg.norm(cesaro_mean(p, 9).matrix - p.matrix) <= 1e-12
-    with pytest.raises(ValueError):
-        cesaro_mean(ident, 0)
-
-
-def test_cesaro_mean_converges_to_projection():
-    d = 8
-    m = to_superoperator(attenuator_kraus(0.5, d))
-    p = vacuum_projection_superop(d)
-    gaps = [np.linalg.norm(cesaro_mean(m, n).matrix - p.matrix) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256)]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-
-
 # ---------------------------------------------------------------------------
 # positive-part decomposition
 
@@ -554,7 +536,6 @@ def test_damped_action_matches_dense_oracle(d, kind, log_gamma, t, scale, seed):
     gamma = min(math.exp(log_gamma), 4096.0)
     h, rate, l = generator_parts(kind, d, scale, seed)
     k, p = attenuator_generator(d), vacuum_projection_superop(d)
-    cfg = DampingConfig(k=k, l=l, p=p, t=t, gamma_grid=(gamma,), test_states=())
     limit = effective_dynamics(p, l, t)
     states = damping_states(d, seed)
     got = damped_action(gamma, t, states, hamiltonian=h, dephasing_rate=rate)
@@ -567,7 +548,7 @@ def test_damped_action_matches_dense_oracle(d, kind, log_gamma, t, scale, seed):
     exact = scipy.linalg.expm(t * (gamma * k.matrix + l.matrix))
     for x, y in zip(states, got):
         lim = apply(limit, x)
-        dense = damped_evolution(cfg, gamma, x)
+        dense = damped_evolution(k, l, t, gamma, x)
         assert abs(trace_norm(y - lim) - trace_norm(dense - lim)) <= 1e-12 * steps
         assert np.abs(y - devectorize(exact @ vectorize(x))).max() <= 1e-10
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from zenolab.experiments import (
 from zenolab.fock import annihilation, number_operator
 from zenolab.linalg import trace_norm
 from zenolab.sampling import random_gapped_channel, random_operator, stream
-from zenolab.zeno import DampingConfig, ZenoConfig, damping_error, effective_dynamics, one_one_norm_probe, zeno_error
+from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, one_one_norm_probe, zeno_product
 
 MINI_ZENO = """
 [experiment]
@@ -251,11 +252,11 @@ CONFIG_WORDS = ("nan", "-inf", "1e400", "", "%", "[x]", "fock:99", "0", "-1")
 def config_texts(draw):
     # Three keys in four are present, and three values in four are ones the
     # parser accepts, so examples reach every check; the rest are anything.
-    # grid.count stays below 10**4: the parser lists the whole grid before
-    # it checks it, so a huge count with a factor near 1 would only fill memory.
+    # Integers run past every cap (grid.count's 10**4 included): each cap is
+    # checked in O(1), before anything of that size is listed or built.
     anything = st.one_of(
         st.sampled_from(CONFIG_WORDS),
-        st.integers(min_value=-10, max_value=10**4).map(str),
+        st.integers(min_value=-10, max_value=10**12).map(str),
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
         st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
     )
@@ -545,6 +546,45 @@ def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
     assert err.value.field == "generator.scale"
 
 
+def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):
+    # eta = 1 does not mix, so zeno_action takes all n steps at every grid
+    # point; with the budget one below those steps the parser refuses the run
+    text = MINI_ZENO.replace("eta_re = 0.5", "eta_re = 1.0").replace("fock:1, coherent:0.5", "fock:1")
+    cfg = parse_config_text(text)
+    steps = []
+    apply_once = channels._attenuator_apply
+
+    def counted(products, x):
+        steps.append(len(x))
+        return apply_once(products, x)
+
+    monkeypatch.setattr(channels, "_attenuator_apply", counted)
+    h, rate = _generator_parts(cfg, cfg.dimension)
+    states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
+    for n in cfg.grid():
+        zeno_action(n, cfg.t, states, cfg.eta, hamiltonian=h, dephasing_rate=rate)
+    assert len(steps) == sum(cfg.grid())
+    monkeypatch.setattr(experiments, "_STEP_BUDGET", len(steps) - 1)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.field == "grid.start" and "steps" in str(err.value)
+    # at n = 1e12 the kernel's rounding-floor exit would end the run early
+    # with a wrong row; the shipped budget refuses it
+    monkeypatch.undo()
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text.replace("start = 8", "start = 1e12").replace("count = 5", "count = 1"))
+    assert err.value.field == "grid.start"
+
+
+def test_shipped_configs_fit_the_step_budget():
+    # n = 8 .. 4096 takes at most 8184 steps, far inside the budget
+    root = Path(__file__).resolve().parent.parent
+    texts = [text for _, text in PRESETS.values()]
+    texts += [path.read_text() for path in sorted((root / "perfbench" / "configs").glob("*.ini"))]
+    zeno_steps = [sum(cfg.grid()) for cfg in map(parse_config_text, texts) if cfg.kind == "zeno"]
+    assert zeno_steps and max(zeno_steps) == 8184 <= experiments._STEP_BUDGET
+
+
 def test_huge_grid_count_fails_before_listing_the_grid():
     # a factor near 1 keeps every point finite, so only the count can refuse it
     text = (
@@ -682,7 +722,7 @@ AGREEMENT_CASES = {
 
 
 def _complex_path_errors(cfg):
-    """Per-(parameter, state) errors from the complex public engine."""
+    """Per-(parameter, state) errors from the dense complex engine."""
     if cfg.kind == "zeno":
         if cfg.channel_type == "attenuator":
             dim = cfg.dimension
@@ -692,23 +732,25 @@ def _complex_path_errors(cfg):
             m, p, _ = random_gapped_channel(dim, stream(cfg.seed, experiments._STREAM_CHANNEL), cfg.gapped_delta)
         l = _build_generator(cfg, dim)
         states = build_states(cfg, dim)
-        grid = [int(round(n)) for n in cfg.grid()]
-        engine = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=grid, test_states=states)
-        error = zeno_error
+        engine = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=cfg.grid(), test_states=states)
+
+        def evolve(n, rho):
+            return zeno_product(engine, n, rho)
+
     else:
         dim = cfg.dimension
         l = _build_generator(cfg, dim)
         p = vacuum_projection_superop(dim)
         states = build_states(cfg, dim)
-        grid = cfg.grid()
-        engine = DampingConfig(
-            k=attenuator_generator(dim), l=l, p=p, t=cfg.t, gamma_grid=grid, test_states=states
-        )
-        error = damping_error
+        k = attenuator_generator(dim)
+
+        def evolve(gamma, rho):
+            return damped_evolution(k, l, cfg.t, gamma, rho)
+
     eff = effective_dynamics(p, l, cfg.t)
     return {
-        (float(x), sid): error(engine, x, rho, effective=eff).error
-        for x in grid
+        (float(x), sid): trace_norm(evolve(x, rho) - apply(eff, rho))
+        for x in cfg.grid()
         for sid, rho in states
     }
 
@@ -856,6 +898,15 @@ def test_six_presets_listed():
         "binomial-limit",
         "simplex-bounds",
     ]
+
+
+def test_report_row_guards():
+    row = experiments.ReportRow("x", "zeno", 8.0, "fock:1", 0.1, None, None, None, 0.0)
+    with pytest.raises(ValueError):
+        replace(row, error=-0.1)
+    with pytest.raises(ValueError):
+        replace(row, bound=-1.0)
+    assert replace(row, error=0.0, bound=0.0).bound == 0.0
 
 
 def test_preset_configs_parse():

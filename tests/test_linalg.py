@@ -28,7 +28,6 @@ from zenolab.linalg import (
     kron,
     matrix_exp,
     matrix_power,
-    singular_values,
     trace_norm,
     vectorize,
 )
@@ -127,11 +126,6 @@ def test_trace_norm_unitary_invariance():
     v, _ = np.linalg.qr(rand_complex(8))
     base = trace_norm(a)
     assert abs(trace_norm(u @ a @ v) - base) <= 1e-9 * base
-
-
-def test_singular_values_descending():
-    s = singular_values(rand_complex(6))
-    assert np.all(np.diff(s) <= 0)
 
 
 def test_matrix_exp_zero():
@@ -295,14 +289,15 @@ def test_matrix_exp_tolerance_holds_against_scipy():
 def test_matrix_exp_holds_at_most_four_work_arrays():
     # x^2, x^3 and two Horner/squaring buffers, plus the flush masks
     d = 576
-    a = np.random.default_rng(3).normal(size=(d, d))
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     tracemalloc.start()
     try:
         matrix_exp(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 8 * d * d, peak / 2**20
+    assert peak <= 4.5 * 16 * d * d, peak / 2**20
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
@@ -355,28 +350,16 @@ def test_hermiticity_check_rejects_maps_that_do_not_preserve_hermiticity():
         _check_hermiticity_preserving(M=ok, L=skew, P=skew)
 
 
-def test_kernels_keep_real_input_real():
-    a = RNG.normal(size=(20, 20))
-    a /= np.linalg.norm(a, 2)
-    for real, as_complex in (
-        (matrix_exp(3.0 * a), matrix_exp((3.0 * a).astype(np.complex128))),
-        (matrix_power(a, 13), matrix_power(a.astype(np.complex128), 13)),
-    ):
-        assert real.dtype == np.float64 and as_complex.dtype == np.complex128
-        assert np.abs(real - as_complex).max() <= 1e-13
-    assert matrix_exp(np.zeros((3, 3), dtype=np.complex128)).dtype == np.complex128
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(min_value=2, max_value=8),
     radius=st.floats(min_value=0.0, max_value=1.0),
     angle=st.floats(min_value=-np.pi, max_value=np.pi),
 )
-def test_attenuator_maps_have_real_hermitian_forms(d, radius, angle):
-    # a map has a real matrix in a Hermitian operator basis exactly when it
-    # preserves Hermiticity: the check accepts the attenuator and its
-    # generator and rejects a random operator
+def test_attenuator_maps_preserve_hermiticity(d, radius, angle):
+    # the attenuator at any eta in the closed unit disc and its generator map
+    # Hermitian operators to Hermitian ones, and the check accepts them; a
+    # random operator does not, and the check rejects it
     eta = radius * complex(np.cos(angle), np.sin(angle))
     for a in (to_superoperator(attenuator_kraus(eta, d)), attenuator_generator(d)):
         _check_hermiticity_preserving(M=a)
