@@ -1,5 +1,9 @@
 """Numerical laboratory for mixing, quantum Zeno and strong-damping limits
-of truncated bosonic systems, built on dense superoperator arithmetic."""
+of truncated bosonic systems.
+
+The attenuator's mixing, zeno and damping sweeps apply their maps
+matrix-free; the gapped zeno channel, the binomial kind and the reference
+engine of :mod:`zenolab.zeno` work on dense superoperators."""
 
 from .linalg import (
     adjoint,
@@ -30,8 +34,6 @@ from .channels import (
     choi_matrix,
     identity_superoperator,
     is_completely_positive,
-    mixing_speed_empirical,
-    positive_part_decomposition,
     to_superoperator,
     transpose_superoperator,
     vacuum_projection_superop,
@@ -52,14 +54,11 @@ from .binomial import (
 from .zeno import (
     FitResult,
     ZenoConfig,
-    attenuator_speed_bound,
-    chain_states,
     constant_big_n,
     damped_evolution,
     effective_dynamics,
     fit_log_envelope,
     fit_rate,
-    one_one_norm_probe,
     theoretical_zeno_bound_ssup,
     zeno_product,
     zeno_product_iterated,

@@ -32,9 +32,7 @@ __all__ = [
     "is_completely_positive",
     "attenuator_generator",
     "vacuum_projection_superop",
-    "mixing_speed_empirical",
     "attenuator_mixing_bound",
-    "positive_part_decomposition",
 ]
 
 CHOI_MAX_DIM = 32
@@ -681,35 +679,6 @@ class Dephasing:
         return Superoperator(matrix=mat, label="dephasing")
 
 
-def mixing_speed_empirical(m: Superoperator, p: Superoperator, x, n_grid) -> list:
-    """Grid-sup mixing speeds s_n(x) = max_{n' >= n, n' in grid} ||(M^n' - P) x||_1.
-
-    Powers are accumulated by iterated application, cached at grid points.
-    The supremum over all n' >= n is replaced by the max over the supplied
-    grid ("grid-sup"); for monotone instances the two coincide on the grid.
-    """
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
-    if sorted(n_grid) != n_grid or min(n_grid) < 1:
-        raise ValueError("n_grid must be sorted ascending with entries >= 1")
-    x = as_matrix(x)
-    target = apply(p, x)
-    grid_set = set(n_grid)
-    errors = {}
-    current = vectorize(x)
-    for n in range(1, n_grid[-1] + 1):
-        current = m.matrix @ current
-        if n in grid_set:
-            errors[n] = trace_norm(devectorize(current) - target)
-    result = []
-    running = 0.0
-    for n in reversed(n_grid):
-        running = max(running, errors[n])
-        result.append((n, running))
-    return result[::-1]
-
-
 def attenuator_mixing_bound(eta: complex, n_or_gamma, rho, *, continuous: bool = False) -> float:
     """4 |eta|^n Tr((N+1) rho), or 4 e^{-gamma} Tr((N+1) rho) when continuous."""
     rho = as_matrix(rho)
@@ -717,23 +686,3 @@ def attenuator_mixing_bound(eta: complex, n_or_gamma, rho, *, continuous: bool =
     if continuous:
         return 4.0 * float(np.exp(-n_or_gamma)) * weight
     return 4.0 * abs(complex(eta)) ** n_or_gamma * weight
-
-
-def positive_part_decomposition(x) -> tuple:
-    """Split x = x1 - x2 + i (x3 - x4) into four PSD parts.
-
-    x1/x2 are the positive/negative parts of (x + x^dag)/2 and x3/x4 those
-    of (x - x^dag)/(2i), obtained by eigenvalue clipping.
-    """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("positive_part_decomposition requires a square matrix")
-    real_part = (x + x.conj().T) / 2
-    imag_part = (x - x.conj().T) / 2j
-    parts = []
-    for herm in (real_part, imag_part):
-        w, v = np.linalg.eigh((herm + herm.conj().T) / 2)
-        pos = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        neg = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-        parts.extend([pos, neg])
-    return tuple(parts)

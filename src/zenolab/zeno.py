@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Superoperator, apply, positive_part_decomposition
-from .fock import vacuum_state
+from .channels import Superoperator
 from .linalg import (
     as_matrix,
     devectorize,
@@ -42,11 +41,8 @@ __all__ = [
     "zeno_product_iterated",
     "effective_dynamics",
     "damped_evolution",
-    "chain_states",
     "constant_big_n",
     "theoretical_zeno_bound_ssup",
-    "one_one_norm_probe",
-    "attenuator_speed_bound",
     "fit_rate",
     "fit_log_envelope",
 ]
@@ -162,17 +158,6 @@ def damped_evolution(k: Superoperator, l: Superoperator, t: float, gamma: float,
     return devectorize(total @ vectorize(x))
 
 
-def chain_states(l: Superoperator, p: Superoperator, t: float, x, length: int) -> list:
-    """The matrices (t L P)^{l-1} x for l = 1..length."""
-    states = [as_matrix(x)]
-    step = t * (l.matrix @ p.matrix)
-    v = vectorize(x)
-    for _ in range(length - 1):
-        v = step @ v
-        states.append(devectorize(v))
-    return states
-
-
 def constant_big_n(n: int, delta: float, length: int) -> list:
     """The constant cutoff sequence N_l = floor(log n / log(1/delta))."""
     if not 0 < delta < 1:
@@ -214,10 +199,11 @@ def theoretical_zeno_bound_ssup(
 ) -> SpeedBound:
     """Evaluate sup_l ( ||tL||^{-l+1} s_{N_l}(chain_l) + N_l/n ||x|| ).
 
-    ``s_tables[l-1]`` is the empirical mixing table for the chain state
-    (tLP)^{l-1} x, as produced by ``mixing_speed_empirical``.  The supremum
-    over l is truncated at ``l_max``; the report records whether the max was
-    attained strictly inside the truncation.
+    ``s_tables[l-1]`` is a nonincreasing mixing table ``[(N, s_N), ...]``
+    for the chain state (tLP)^{l-1} x; ``demos/speed_bounds.py`` builds the
+    attenuator's exactly.  The supremum over l is truncated at ``l_max``;
+    the report records whether the max was attained strictly inside the
+    truncation.
     """
     big_n = [int(v) for v in big_n]
     l_max = min(l_max, len(big_n))
@@ -244,93 +230,6 @@ def theoretical_zeno_bound_ssup(
         argmax_l=argmax,
         attained_inside_truncation=argmax < l_max,
     )
-
-
-@dataclass(frozen=True)
-class ProbeNorm:
-    """Lower-bound estimate of the trace-norm -> trace-norm operator norm."""
-
-    value: float
-    probe_count: int
-
-
-# Probes per batched application of L.  A chunk's arrays (the probes, their
-# vec copy, the images) hold about 4 * 64 d^2 complex entries, under half of
-# the d^4 of L itself at the default d = 24.
-_PROBE_CHUNK = 64
-
-
-def _probe_chunks(d: int, target: int, rng):
-    """The probes of :func:`one_one_norm_probe` in order, as stacked chunks.
-
-    First the d^2 matrix units ``E_ij`` (i major), then Hermitian pairs
-    ``g + g^H`` and ``g g^H`` of complex Gaussian ``g`` until at least
-    ``target`` probes are out; each chunk holds at most ``_PROBE_CHUNK``.
-    """
-    for start in range(0, d * d, _PROBE_CHUNK):
-        flat = np.arange(start, min(start + _PROBE_CHUNK, d * d))
-        units = np.zeros((flat.size, d, d), dtype=np.complex128)
-        units[np.arange(flat.size), flat // d, flat % d] = 1.0
-        yield units
-    remaining = target - d * d
-    while remaining > 0:
-        chunk = []
-        while remaining > 0 and len(chunk) < _PROBE_CHUNK:
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            chunk += [g + g.conj().T, g @ g.conj().T]
-            remaining -= 2
-        yield np.stack(chunk)
-
-
-def one_one_norm_probe(l: Superoperator, extra_probes: int = 64, seed: int = 0) -> ProbeNorm:
-    """max ||L(x)||_1 / ||x||_1 over matrix units plus random probes.
-
-    Exact 1->1 superoperator norms are intractable in general; this reports
-    a lower bound together with the number of probes used (always >= 200).
-    L is applied to chunks of up to ``_PROBE_CHUNK`` probes by one product
-    each, and the trace norms come from stacked singular values.
-    """
-    d = l.dim
-    rng = np.random.default_rng(np.random.Philox(key=np.array([seed, 0x1111], dtype=np.uint64)))
-    target = max(200, d * d + 2 * extra_probes)
-    best, count = 0.0, 0
-    for x in _probe_chunks(d, target, rng):
-        count += len(x)
-        # row i of vecs is vec(x_i); row i of vecs @ L^T is vec(L x_i), which
-        # reshapes row-major to (L x_i)^T, of the same trace norm
-        vecs = x.transpose(0, 2, 1).reshape(len(x), d * d)
-        images = (vecs @ l.matrix.T).reshape(x.shape)
-        denom = np.linalg.svd(x, compute_uv=False).sum(axis=1)
-        keep = denom >= 1e-14
-        if keep.any():
-            num = np.linalg.svd(images[keep], compute_uv=False).sum(axis=1)
-            best = max(best, float((num / denom[keep]).max()))
-    return ProbeNorm(value=best, probe_count=count)
-
-
-def attenuator_speed_bound(rho, l: Superoperator, t: float, n_or_gamma: float) -> float:
-    """State-dependent factor of the attenuator rate bound, times log(m)/m.
-
-    factor = sum_i ( Tr((N+1) rho_i) + Tr((N+1) L(vac)_i) ||rho||_1 / ||L|| )
-    over the four PSD parts of rho and of L(|0><0|); the overall fitted
-    constant is reported separately by the callers.
-    """
-    if n_or_gamma <= 1:
-        raise ValueError("rate bound needs parameter > 1 (log must be positive)")
-    rho = as_matrix(rho)
-    d = rho.shape[0]
-    n_diag = np.arange(d, dtype=float) + 1.0
-    l_vac = apply(l, vacuum_state(d))
-    l_norm = one_one_norm_probe(l).value
-    rho_norm = trace_norm(rho)
-    factor = 0.0
-    for part in positive_part_decomposition(rho):
-        factor += float(n_diag @ np.real(np.diag(part)))
-    if l_norm > 1e-14:
-        for part in positive_part_decomposition(l_vac):
-            factor += float(n_diag @ np.real(np.diag(part))) * rho_norm / l_norm
-    m = float(n_or_gamma)
-    return float(np.log(m) / m * factor)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,7 @@ from zenolab.channels import (
     attenuator_mixing_bound,
     choi_matrix,
     damped_action,
-    identity_superoperator,
     is_completely_positive,
-    mixing_speed_empirical,
-    positive_part_decomposition,
     to_superoperator,
     transpose_superoperator,
     vacuum_projection_superop,
@@ -344,46 +341,7 @@ def test_non_uniform_mixing_witness():
 
 
 # ---------------------------------------------------------------------------
-# mixing speeds and bounds
-
-
-def test_mixing_speed_zero_for_projection():
-    d = 4
-    p = vacuum_projection_superop(d)
-    table = mixing_speed_empirical(p, p, rand_state(d), [1, 2, 4, 8])
-    assert all(s == pytest.approx(0.0, abs=1e-14) for _, s in table)
-
-
-def test_mixing_speed_single_photon_closed_form():
-    d = 8
-    eta = 0.5
-    m = to_superoperator(attenuator_kraus(eta, d))
-    p = vacuum_projection_superop(d)
-    grid = [1, 2, 3, 4, 6, 8]
-    table = mixing_speed_empirical(m, p, fock_projector(1, d), grid)
-    for n, s in table:
-        assert s == pytest.approx(2 * eta ** (2 * n), rel=1e-10)
-    values = [s for _, s in table]
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_mixing_speed_below_particle_number_bound():
-    d = 16
-    eta = 0.6
-    m = to_superoperator(attenuator_kraus(eta, d))
-    p = vacuum_projection_superop(d)
-    grid = list(range(1, 17))
-    for _ in range(5):
-        rho = rand_state(d, support=int(RNG.integers(2, 8)))
-        table = mixing_speed_empirical(m, p, rho, grid)
-        for n, s in table:
-            assert s <= attenuator_mixing_bound(eta, n, rho) + 1e-12
-
-
-def test_mixing_speed_requires_grid():
-    m = identity_superoperator(2)
-    with pytest.raises(ValueError):
-        mixing_speed_empirical(m, m, np.eye(2), [])
+# mixing bounds
 
 
 def test_attenuator_mixing_bound_values():
@@ -393,34 +351,6 @@ def test_attenuator_mixing_bound_values():
     rho = rand_state(d)
     gamma_val = attenuator_mixing_bound(0.0, 2.0, rho, continuous=True)
     assert gamma_val == pytest.approx(4 * np.exp(-2.0) * (particle_number(rho) + 1))
-
-
-# ---------------------------------------------------------------------------
-# positive-part decomposition
-
-
-def test_positive_part_of_psd():
-    rho = rand_state(5)
-    x1, x2, x3, x4 = positive_part_decomposition(rho)
-    assert np.linalg.norm(x1 - rho) <= 1e-10
-    for part in (x2, x3, x4):
-        assert np.linalg.norm(part) <= 1e-10
-
-
-def test_positive_part_diagonal():
-    x1, x2, x3, x4 = positive_part_decomposition(np.diag([1.0, -2.0]))
-    assert np.allclose(x1, np.diag([1.0, 0.0]))
-    assert np.allclose(x2, np.diag([0.0, 2.0]))
-    assert np.linalg.norm(x3) <= 1e-14 and np.linalg.norm(x4) <= 1e-14
-
-
-def test_positive_part_reconstruction():
-    for _ in range(5):
-        x = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
-        x1, x2, x3, x4 = positive_part_decomposition(x)
-        assert np.linalg.norm((x1 - x2) + 1j * (x3 - x4) - x) <= 1e-10
-        for part in (x1, x2, x3, x4):
-            assert np.linalg.eigvalsh(part).min() >= -1e-12
 
 
 # ---------------------------------------------------------------------------

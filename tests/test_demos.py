@@ -2,11 +2,14 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from zenolab.experiments import generator_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +47,15 @@ def test_zeno_demo_prints_the_cli_errors(tmp_path):
         written = {row["parameter"]: row["error"] for row in csv.DictReader(handle) if row["state_id"] == "coherent:0.8"}
     assert len(written) == 10
     assert printed == written
+
+
+def test_speed_bounds_demo_prints_the_exact_norm_and_a_dominating_core(capsys):
+    # ||L|| is the exact norm of the demo's own config, and the bound core
+    # lies above every error the demo prints
+    namespace = runpy.run_path(str(ROOT / "demos" / "speed_bounds.py"))
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    (norm,) = [fields[-1] for fields in lines if fields[:1] == ["||L||"]]
+    assert float(norm) == generator_norm(namespace["sweep"])
+    ratios = [float(fields[3]) for fields in lines if len(fields) == 6 and fields[0].isdigit()]
+    assert len(ratios) == 4
+    assert all(ratio < 1 for ratio in ratios)

@@ -47,7 +47,7 @@ from zenolab.experiments import (
 from zenolab.fock import annihilation, number_operator
 from zenolab.linalg import trace_norm
 from zenolab.sampling import random_gapped_channel, random_operator, stream
-from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, one_one_norm_probe, zeno_product
+from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, zeno_product
 
 MINI_ZENO = """
 [experiment]
@@ -775,6 +775,32 @@ def test_runner_rejects_generator_that_breaks_hermiticity(monkeypatch):
         run_experiment(preset_config("uniform-zeno"))
 
 
+def _probe_loop(l):
+    """max ||L(x)||_1 / ||x||_1 over probes: a lower bound on the 1->1 norm.
+
+    The probes are the d^2 matrix units ``E_ij``, then Hermitian pairs
+    ``g + g^H`` and ``g g^H`` of complex Gaussian ``g``, at least 200 in all.
+    """
+    d = l.dim
+    probes = []
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            probes.append(unit)
+    rng = np.random.default_rng(np.random.Philox(key=np.array([0, 0x1111], dtype=np.uint64)))
+    while len(probes) < max(200, d * d + 128):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        probes.append(g + g.conj().T)
+        probes.append(g @ g.conj().T)
+    best = 0.0
+    for x in probes:
+        denom = trace_norm(x)
+        if denom >= 1e-14:
+            best = max(best, trace_norm(apply(l, x)) / denom)
+    return best
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(min_value=2, max_value=8),
@@ -799,7 +825,7 @@ def test_generator_norm_is_exact(d, kind, scale, seed):
     cfg = parse_config_text(text)
     norm = generator_norm(cfg)
     l = _build_generator(cfg, d)
-    assert one_one_norm_probe(l).value <= norm * (1 + 1e-12)
+    assert _probe_loop(l) <= norm * (1 + 1e-12)
     h, _ = _generator_parts(cfg, d)
     _, vectors = np.linalg.eigh(number_operator(d) if h is None else h)
     unit = np.outer(vectors[:, -1], vectors[:, 0].conj())
@@ -841,6 +867,36 @@ def test_attenuator_runs_at_d64_match_closed_forms(kind):
         else:
             exact = attenuator_deviation(np.exp(-row.parameter * t), x * np.exp(-t * r * charge**2 / 2))
         assert abs(row.error - trace_norm(exact[0])) <= 1e-12, row
+
+
+@pytest.mark.parametrize("kind", ["zeno", "damping"])
+def test_quadrature_runs_at_d128_match_displaced_coherent_states(kind):
+    # H = s(a + a^dag) at the default s = 1/d: e^{-i tau H} is the displacement
+    # D(-i tau s), and Phi_eta D(g) = D(eta g) Phi_eta, so a coherent |alpha>
+    # leaves each map as a coherent |b> and its row is
+    # || |b><b| - |0><0| ||_1 = 2 sqrt(1 - e^{-|b|^2})
+    d, t = 128, 1.0
+    s = 1.0 / d
+    grid = "start = 8\nfactor = 8\ncount = 3" if kind == "zeno" else "start = 8\nfactor = 4\ncount = 3"
+    text = (
+        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
+        .replace("dimension = 10", f"dimension = {d}")
+        .replace("eta_re = 0.5", "eta_re = 0.6\neta_im = 0.3")
+        .replace("start = 8\nfactor = 2\ncount = 5", grid)
+        .replace("fock:1, coherent:0.5", "coherent:0.8, coherent:1.5-0.7j")
+    )
+    cfg = parse_config_text(text)
+    rows = run_experiment(cfg)
+    assert len(rows) == 3 * 2
+    for row in rows:
+        alpha = complex(row.state_id.partition(":")[2])
+        if kind == "zeno":
+            n, eta = int(row.parameter), cfg.eta
+            b = eta**n * alpha - 1j * (t / n) * s * eta * (1 - eta**n) / (1 - eta)
+        else:
+            decay = math.exp(-row.parameter * t)
+            b = decay * alpha - 1j * s / row.parameter * (1 - decay)
+        assert abs(row.error - 2 * math.sqrt(-math.expm1(-abs(b) ** 2))) <= 1e-13, row
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,23 @@ from zenolab.channels import (
     HamiltonianCommutator,
     Superoperator,
     apply,
+    attenuator_deviation,
     attenuator_generator,
     attenuator_kraus,
     identity_superoperator,
-    mixing_speed_empirical,
     to_superoperator,
     vacuum_projection_superop,
 )
+from zenolab.experiments import generator_norm, parse_config_text
 from zenolab.fock import annihilation, coherent_vector, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.zeno import (
     ZenoConfig,
-    attenuator_speed_bound,
-    chain_states,
     constant_big_n,
     damped_evolution,
     effective_dynamics,
     fit_log_envelope,
     fit_rate,
-    one_one_norm_probe,
     theoretical_zeno_bound_ssup,
     zeno_product,
     zeno_product_iterated,
@@ -40,9 +38,13 @@ def fock_projector(level, dim):
     return rho
 
 
-def quadrature_generator(dim):
+def quadrature_hamiltonian(dim):
     a = annihilation(dim)
-    return HamiltonianCommutator(hamiltonian=(a + a.conj().T) / dim).to_superoperator(dim)
+    return (a + a.conj().T) / dim
+
+
+def quadrature_generator(dim):
+    return HamiltonianCommutator(hamiltonian=quadrature_hamiltonian(dim)).to_superoperator(dim)
 
 
 def attenuator_zeno_config(dim=8, eta=0.5, t=1.0, grid=(8, 16, 32, 64)):
@@ -171,10 +173,10 @@ def test_zeno_error_with_zero_l_equals_mixing_error():
     rho = fock_projector(1, d)
     cfg = ZenoConfig(m=m, l=zero, p=p, t=1.0, n_grid=(1, 2, 4, 8), test_states=())
     eff = effective_dynamics(p, zero, 1.0)
-    table = dict(mixing_speed_empirical(m, p, rho, [1, 2, 4, 8]))
     for n in (1, 2, 4, 8):
         error = trace_norm(zeno_product(cfg, n, rho) - apply(eff, rho))
-        assert abs(error - table[n]) <= 1e-12
+        mixing = trace_norm(devectorize(np.linalg.matrix_power(m.matrix, n) @ vectorize(rho)) - apply(p, rho))
+        assert abs(error - mixing) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +297,44 @@ def test_ssup_zero_generator():
     assert bound.value == pytest.approx(0.125 + 4 / 16)
 
 
+def attenuator_chain(h, t, x, length):
+    """The chain (tLP)^{l-1} x, l = 1..length, for L = -i[H, .] and P = |0><0| Tr.
+
+    L preserves the trace, so PLP = 0 and the chain is
+    [x, t Tr(x) L(|0><0|), 0, ...].
+    """
+    vac = vacuum_state(x.shape[0])
+    return [x, t * np.trace(x) * -1j * (h @ vac - vac @ h)] + [np.zeros_like(x)] * (length - 2)
+
+
+def attenuator_tables(eta, chain, grid):
+    """Mixing tables [(N, ||(Phi_{eta^N} - P) y||_1)] of each chain state y, matrix-free."""
+    columns = [[trace_norm(dev) for dev in attenuator_deviation(eta**n, chain)] for n in grid]
+    return [list(zip(grid, values)) for values in zip(*columns)]
+
+
 def test_attenuator_chain_states_collapse():
-    # (tLP)^{l-1} x is proportional to L(|0><0|) for every l >= 2
-    d = 8
-    l = quadrature_generator(d)
+    # the closed-form chain is the dense (tLP)^{l-1} x, and every table entry
+    # is the dense ||(M^N - P) y||_1, nonincreasing in N
+    d, eta, t = 8, 0.5, 1.0
+    h = quadrature_hamiltonian(d)
+    l = HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
     p = vacuum_projection_superop(d)
+    m = to_superoperator(attenuator_kraus(eta, d))
     x = coherent_vector(0.7, d).projector()
-    chain = chain_states(l, p, 1.0, x, 4)
-    l_vac = apply(l, vacuum_state(d))
-    for state in chain[1:]:
-        overlap = np.trace(state.conj().T @ l_vac)
-        residual = state - overlap / max(np.linalg.norm(l_vac) ** 2, 1e-300) * l_vac
-        assert np.linalg.norm(residual) <= 1e-12
+    chain = attenuator_chain(h, t, x, 4)
+    step = t * (l.matrix @ p.matrix)
+    v = vectorize(x)
+    for state in chain:
+        assert np.abs(state - devectorize(v)).max() <= 1e-15
+        v = step @ v
+    grid = list(range(1, 33))
+    for state, table in zip(chain, attenuator_tables(eta, chain, grid)):
+        for n, value in table:
+            dense = devectorize(np.linalg.matrix_power(m.matrix, n) @ vectorize(state)) - apply(p, state)
+            assert abs(value - trace_norm(dense)) <= 1e-15
+        values = [value for _, value in table]
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_constant_big_n_formula():
@@ -315,31 +343,30 @@ def test_constant_big_n_formula():
 
 
 def test_zeno_error_dominated_by_ssup_pipeline():
-    """Full bound pipeline: mixing tables of the chain states feed the
-    s_sup evaluator, and the fitted-constant envelope dominates later Zeno
-    errors on the attenuator instance."""
+    """Full bound pipeline: the exact mixing tables of the chain states and
+    the exact ||L|| feed the s_sup evaluator, and the fitted-constant
+    envelope dominates later Zeno errors on the attenuator instance."""
     d = 8
     eta = 0.5
     t = 1.0
     m = to_superoperator(attenuator_kraus(eta, d))
     p = vacuum_projection_superop(d)
-    l = quadrature_generator(d)
+    h = quadrature_hamiltonian(d)
+    l = HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
     rho = fock_projector(1, d)
     cfg = ZenoConfig(m=m, l=l, p=p, t=t, n_grid=(8, 16), test_states=())
     limit = apply(effective_dynamics(p, l, t), rho)
 
     l_max = 6
-    chain = chain_states(l, p, t, rho, l_max)
+    chain = attenuator_chain(h, t, rho, l_max)
     # commutators are traceless, so the chain dies after the second state
     for state in chain[2:]:
         assert np.linalg.norm(state) <= 1e-14
-    mixing_grid = list(range(1, 33))
-    tables = [
-        mixing_speed_empirical(m, p, state, mixing_grid) if np.linalg.norm(state) > 0
-        else [(n, 0.0) for n in mixing_grid]
-        for state in chain
-    ]
-    l_norm = one_one_norm_probe(l).value
+    tables = attenuator_tables(eta, chain, list(range(1, 33)))
+    run = parse_config_text(
+        f"[experiment]\nkind = zeno\ndimension = {d}\nt = {t}\n\n[channel]\neta_re = {eta}\n\n[states]\nspecs = fock:1\n"
+    )
+    l_norm = generator_norm(run)
 
     def core(n):
         big_n = constant_big_n(n, eta, l_max)
@@ -356,83 +383,6 @@ def test_zeno_error_dominated_by_ssup_pipeline():
     # and the evaluated core itself decays like O(log n / n)
     ratios = [b.value / (np.log(n) / n) for n, b in zip(grid, bounds)]
     assert max(ratios) <= 6.0
-
-
-def test_one_one_norm_probe_projection():
-    for d in (4, 16):
-        p = vacuum_projection_superop(d)
-        probe = one_one_norm_probe(p)
-        assert probe.probe_count >= 200
-        assert probe.value == pytest.approx(1.0, abs=1e-9)
-
-
-def _probe_loop(l, extra_probes=64, seed=0):
-    """One application of L and two SVDs per probe: the reference for the batched probe."""
-    d = l.dim
-    probes = []
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            probes.append(unit)
-    rng = np.random.default_rng(np.random.Philox(key=np.array([seed, 0x1111], dtype=np.uint64)))
-    target = max(200, d * d + 2 * extra_probes)
-    while len(probes) < target:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        probes.append(g + g.conj().T)
-        probes.append(g @ g.conj().T)
-    best = 0.0
-    for x in probes:
-        denom = trace_norm(x)
-        if denom >= 1e-14:
-            best = max(best, trace_norm(apply(l, x)) / denom)
-    return best, len(probes)
-
-
-def test_one_one_norm_probe_batched_equals_per_probe_loop():
-    # d=3 has an odd random remainder (201 probes), d=9 and d=16 span
-    # several chunks of units and of random probes
-    for d, extra, seed in ((3, 64, 0), (9, 0, 5), (16, 64, 0), (16, 100, 3)):
-        l = Superoperator(matrix=attenuator_generator(d).matrix + quadrature_generator(d).matrix)
-        value, count = _probe_loop(l, extra, seed)
-        probe = one_one_norm_probe(l, extra_probes=extra, seed=seed)
-        assert probe.probe_count == count
-        assert probe.value == pytest.approx(value, rel=1e-12, abs=0.0)
-
-
-def test_attenuator_speed_bound_vacuum():
-    d = 8
-    zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
-    value = attenuator_speed_bound(vacuum_state(d), zero, 1.0, 100.0)
-    assert value == pytest.approx(np.log(100.0) / 100.0)
-
-
-def test_attenuator_speed_bound_single_photon_factor():
-    d = 8
-    zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
-    value = attenuator_speed_bound(fock_projector(1, d), zero, 1.0, 100.0)
-    assert value == pytest.approx(2 * np.log(100.0) / 100.0)
-
-
-def test_attenuator_speed_bound_cross_check():
-    # independent recomputation straight from the definition
-    d = 16
-    l = quadrature_generator(d)
-    rho = coherent_vector(0.9, d).projector()
-    m = 64.0
-    value = attenuator_speed_bound(rho, l, 1.0, m)
-    from zenolab.channels import positive_part_decomposition
-
-    n_plus_one = np.diag(np.arange(d) + 1.0)
-    factor = sum(np.trace(n_plus_one @ part).real for part in positive_part_decomposition(rho))
-    l_vac = apply(l, vacuum_state(d))
-    l_norm = one_one_norm_probe(l).value
-    factor += (
-        sum(np.trace(n_plus_one @ part).real for part in positive_part_decomposition(l_vac))
-        * trace_norm(rho)
-        / l_norm
-    )
-    assert value == pytest.approx(np.log(m) / m * factor, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
