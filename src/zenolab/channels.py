@@ -7,7 +7,8 @@ so a Kraus map sum_i K_i x K_i^dag has matrix sum_i conj(K_i) kron K_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, lgamma, log, log1p
 
 import numpy as np
 
@@ -126,19 +127,203 @@ def _attenuator_weights(eta: complex, d: int) -> np.ndarray:
     return w
 
 
-def _attenuator_products(w: np.ndarray):
-    """``w[:k, l] w[:k, l]^dag`` for ``l = 0..d-1`` and ``k = d - l``, one at a time."""
-    d = w.shape[0]
-    return (np.outer(w[: d - l, l], w[: d - l, l].conj()) for l in range(d))
+# Levels per block of the attenuator plan: one gauge cannot flatten a
+# diagonal block's factors, whose spread grows with the block.
+_BLOCK = 128
+# Mantissas in [0.5, 1) multiplied before renormalising: 0.5**512 is normal.
+_RUN = 512
+# The exponent of a zero, and the floor of ldexp exponents (zero at 2^-1100).
+_ZERO = -(2**40)
+_FLOOR_EXP = -1100
 
 
-def _attenuator_apply(products, x: np.ndarray) -> np.ndarray:
-    """``Phi_eta(x)`` for a ``(S, d, d)`` batch from the ``d`` products of :func:`_attenuator_products`."""
-    d = x.shape[1]
-    out = np.zeros_like(x)
-    for l, weight in enumerate(products):
-        k = d - l
-        out[:, :k, :k] += weight * x[:, l:, l:]
+def _binary(mant, expo) -> tuple:
+    """``(m, e)`` with ``m`` in [0.5, 1) and the value ``m 2^e``; a zero gets ``_ZERO``."""
+    mant, extra = np.frexp(mant)
+    expo = expo + extra
+    expo[mant == 0] = _ZERO
+    return mant, expo
+
+
+def _binary_powers(base: float, count: int) -> tuple:
+    """``base^k`` for ``k < count`` as in :func:`_binary`, each by one ``pow`` of the mantissa."""
+    m, e = np.frexp(base)
+    mant = np.empty(count)
+    expo = int(e) * np.arange(count, dtype=np.int64)
+    carry, shift = 1.0, 0
+    for start in range(0, count, _RUN):
+        stop = min(start + _RUN, count)
+        mant[start:stop] = carry * m ** np.arange(stop - start, dtype=np.float64)
+        expo[start:stop] += shift
+        carry, lost = np.frexp(carry * m**_RUN)
+        shift += int(lost)
+    return _binary(mant, expo)
+
+
+@lru_cache(maxsize=4)
+def _binary_levels(d: int) -> tuple:
+    """``j!`` and ``s_j = sqrt(j!)`` for ``j < d`` as in :func:`_binary`.
+
+    The roots are padded to ``2 d`` entries, the mantissas with 1 and the
+    exponents with ``_ZERO`` (for the in-scale) or ``-_ZERO`` (out-scale),
+    which zero the entries past level ``d - 1``.
+    """
+    m, e = np.frexp(np.arange(1.0, d))
+    mant = np.ones(d)
+    expo = np.zeros(d, dtype=np.int64)
+    np.cumsum(e, out=expo[1:])
+    carry, shift = 1.0, 0
+    for start in range(0, d - 1, _RUN):
+        part = np.cumprod(m[start : start + _RUN]) * carry
+        mant[start + 1 : start + 1 + len(part)] = part
+        expo[start + 1 : start + 1 + len(part)] += shift
+        carry, lost = np.frexp(part[-1])
+        shift += int(lost)
+    mf, ef = _binary(mant, expo)
+    odd = ef & 1
+    ms, es_in, es_out = np.ones(2 * d), np.full(2 * d, _ZERO), np.full(2 * d, -_ZERO)
+    ms[:d], es_in[:d] = _binary(np.sqrt(np.ldexp(mf, odd)), (ef - odd) // 2)
+    es_out[:d] = es_in[:d]
+    tables = (mf, ef, ms, es_in, es_out)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _attenuator_plan(eta: complex, d: int) -> tuple:
+    """The attenuator at ``eta`` on ``d`` levels as Toeplitz products on its charge diagonals.
+
+    The weights factor as ``w_{m,l} conj(w_{n,l}) = a_m conj(a_n) s_{m+l}
+    s_{n+l} c_l``, with ``a_m = eta^m / s_m``, ``s_j = sqrt(j!)`` and
+    ``c_l = (1-|eta|^2)^l / l!``.  So on the diagonal ``q = m - n >= 0``,
+    ``y_q[n] = a_{n+q} conj(a_n) sum_j C[n, j] s_{j+q} s_j x_{j+q, j}`` with
+    the same real upper-triangular Toeplitz ``C[n, j] = c_{j-n}`` for every
+    ``q``: one real GEMM maps the lower diagonals of every state.
+
+    Every factor is a mantissa times an exact power of two, so scaling never
+    rounds.  ``s_j`` overflows past ``j = 170``, so the levels are cut into
+    blocks of ``_BLOCK``, and each (row block, column block) pair is a tile
+    with its own ``C``.  A tile multiplies ``C[n, j]`` by ``2^{k (n - j)}``,
+    the in-scale by ``2^{k j}`` and the out-scale by ``2^{-k n}``, and
+    scales ``C`` and, per ``q``, the in-scale to a largest entry in
+    [1/4, 1); the out-scale takes the constants back.  Off the diagonal the
+    gauge ``k`` is the chord slope of the tile's ``log2 c_l``; on it, where
+    ``j >= n`` cuts the tile to a triangle, minus the mean ``log2`` of the
+    block's levels.  What underflows then costs at most ``_BLOCK 2^{e-1074}``
+    of the largest entry of ``x``, for out-scales below ``2^e``:
+    :func:`_tile_scales` raises past ``e = 1000``, and over ``|eta|^2`` from
+    0 to 1 ``e`` was at most 92 for ``d <= 128`` and 289 at ``d = 2000``.
+
+    Returns ``(tables, tiles)``.  A tile is ``(rows, cols, C, k, shift,
+    scales)``; the diagonal tiles keep their scales, the others, ``None``,
+    form them per call, so that the plan holds ``O(d^2)`` entries.
+    """
+    eta = complex(eta)
+    if abs(eta) > 1 + 1e-12:
+        raise ValueError(f"attenuator requires |eta| <= 1, got |eta|={abs(eta)}")
+    keep = min(abs(eta) ** 2, 1.0)
+    mf, ef, ms, es_in, es_out = _binary_levels(d)
+    phase = np.full(d, eta / abs(eta) if eta else 1.0, dtype=np.complex128)
+    phase[0] = 1.0
+    tables = (ms, es_in, es_out, *_binary_powers(abs(eta), 3 * d), np.cumprod(phase))
+    # c_l on the factorials of s_l, so that c_l s_l^2 is (1-|eta|^2)^l to a few ulp
+    mc, ec = _binary_powers(1.0 - keep, d)
+    mc, ec = _binary(mc / mf, ec - ef)
+    tiles = []
+    blocks = [slice(i, min(i + _BLOCK, d)) for i in range(0, d, _BLOCK)]
+    for b, rows in enumerate(blocks):
+        for cols in blocks[b:]:
+            lag, width, height = cols.start - rows.start, cols.stop - cols.start, rows.stop - rows.start
+            if not lag:
+                top = rows.start + width
+                gauge = round((lgamma(rows.start + 1) - lgamma(top)) / ((width - 1) * log(2))) if width > 1 else 0
+            elif keep == 1.0:
+                continue  # c_l = 0 for every l >= 1
+            else:
+                lo, hi = lag - height + 1, lag + width - 1
+                rise = (hi - lo) * log1p(-keep) - lgamma(hi + 1) + lgamma(lo + 1)
+                gauge = round(rise / ((hi - lo) * log(2)))
+            l = lag + np.arange(width) - np.arange(height)[:, None]
+            exponent = np.where(l >= 0, ec[np.maximum(l, 0)], _ZERO) - gauge * (l - lag)
+            shift = int(exponent.max())
+            toeplitz = np.ldexp(mc[np.maximum(l, 0)] * (l >= 0), np.maximum(exponent - shift, _FLOOR_EXP))
+            scales = None if lag else _tile_scales(tables, rows, cols, gauge, shift)
+            tiles.append((rows, cols, toeplitz, gauge, shift, scales))
+    return tables, tiles
+
+
+def _tile_scales(tables, rows: slice, cols: slice, gauge: int, shift: int) -> tuple:
+    """The real in-scale ``(cols, d - cols.start)`` and complex out-scale ``(rows, d - cols.start)`` of a tile.
+
+    In-scale ``s_{j+q} s_j 2^{k (j - j_0) - sigma_q}``, with ``sigma_q`` its
+    largest exponent; out-scale ``|eta|^{q+2n} e^{i q arg eta} 2^{-k (n -
+    n_0) + sigma_q + shift} / (s_{n+q} s_n)``; each zero past level ``d - 1``.
+    """
+    ms, es_in, es_out, mp, ep, phase = tables
+    charges = np.arange(len(phase) - cols.start)
+    j, n = np.arange(cols.start, cols.stop), np.arange(rows.start, rows.stop)
+    top = j[:, None] + charges
+    exponent = es_in[top] + (es_in[j] + gauge * (j - j[0]))[:, None]
+    sigma = exponent.max(axis=0)
+    exponent -= sigma
+    scale_in = np.ldexp(ms[top] * ms[j, None], np.maximum(exponent, _FLOOR_EXP))
+    top = n[:, None] + charges
+    exponent = ep[top + n[:, None]] - es_out[top] - (es_out[n] + gauge * (n - n[0]))[:, None]
+    exponent += sigma + shift
+    if exponent.max() > 1000:
+        raise ValueError(f"the attenuator plan at d = {len(phase)} leaves the float range")
+    mant = mp[top + n[:, None]] / (ms[top] * ms[n, None])
+    return scale_in, np.ldexp(mant, np.maximum(exponent, _FLOOR_EXP)) * phase[charges]
+
+
+@lru_cache(maxsize=4)
+def _charge_layout(d: int, s: int) -> tuple:
+    """Flat indices from a ``(S, d, d)`` batch to its diagonals ``z[j, k, q] = x[k, j + q, j]`` and back, and ``sign(m - n)``."""
+    index = np.int32 if s * d * d < 2**31 else np.int64
+    levels = np.arange(d, dtype=index)
+    states = np.arange(s, dtype=index)[:, None]
+    top = levels[:, None] + levels
+    gather = np.where(top < d, top * d + levels[:, None], 0)[:, None, :] + d * d * states
+    scatter = np.minimum.outer(levels, levels) * (s * d) + np.abs(levels[:, None] - levels) + d * states[:, :, None]
+    sign = np.sign(levels[:, None] - levels).astype(np.int8)
+    for table in (gather, scatter, sign):
+        table.flags.writeable = False
+    return gather, scatter, sign
+
+
+def _attenuator_apply(plan, x: np.ndarray) -> np.ndarray:
+    """``Phi_eta(x)`` for a Hermitian ``(S, d, d)`` batch by the tiles of ``plan``, reading lower triangles only.
+
+    The lower diagonals are gathered into one ``(d, S d)`` array, scaled,
+    multiplied by each tile's ``C`` through their ``float64`` view (one
+    dgemm for ``d <= _BLOCK``), scaled and scattered; the upper triangle is
+    the conjugate and the diagonal is real, so the image is exactly
+    Hermitian.
+    """
+    tables, tiles = plan
+    s, d = x.shape[:2]
+    gather, scatter, sign = _charge_layout(d, s)
+    # y overwrites z: a block's diagonal tile reads z there last and writes y first
+    z = y = np.take(x, gather)
+    for rows, cols, toeplitz, gauge, shift, scales in tiles:
+        scale_in, scale_out = scales or _tile_scales(tables, rows, cols, gauge, shift)
+        q = d - cols.start
+        part = (z[cols, :, :q] * scale_in[:, None, :]).view(np.float64).reshape(len(scale_in), -1)
+        if q == d:
+            # the first block, where y is contiguous: the product lands in place
+            block = y[rows]
+            np.matmul(toeplitz, part, out=block.view(np.float64).reshape(len(block), -1))
+            block *= scale_out[:, None, :]
+            continue
+        part = (toeplitz @ part).view(np.complex128).reshape(-1, s, q)
+        if rows == cols:
+            np.multiply(part, scale_out[:, None, :], out=y[rows, :, :q])
+        else:
+            part *= scale_out[:, None, :]
+            y[rows, :, :q] += part
+    del part
+    out = np.take(y, scatter)
+    out.view(np.float64)[..., 1::2] *= sign
     return out
 
 
@@ -153,11 +338,12 @@ def attenuator_check(eta: complex, states, label: str = "M") -> None:
     the 1e-9 of the dense check, in the same Frobenius norms of the
     superoperators: ``||P M - P|| = ||sum_l K_l^dag K_l - I||_F`` and
     ``||M P - P|| = sqrt(d) | |w_{0,0}|^2 - 1 |``.  That is ``O(d^2)``.
-    Trace-norm contractivity is spot-checked on the ``(state_id, matrix)``
-    pairs ``states`` through the kernel, with the dense check's slack 1e-8.
-    A failed check raises ValueError naming ``label``.
+    Trace-norm contractivity is spot-checked on the Hermitian
+    ``(state_id, matrix)`` pairs ``states`` through the Toeplitz kernel of
+    :func:`_attenuator_plan`, with the dense check's slack 1e-8.  A failed
+    check raises ValueError naming ``label``.
     """
-    x = _operator_batch([rho for _, rho in states])
+    x = _hermitian_batch([rho for _, rho in states], "attenuator_check")
     d = x.shape[1]
     w = _attenuator_weights(eta, d)
     levels = np.arange(d)
@@ -168,7 +354,7 @@ def attenuator_check(eta: complex, states, label: str = "M") -> None:
         raise ValueError(f"P {label} != P within 1e-9: the Kraus weights of level {j} sum to {sums[j]:.17g}")
     if np.sqrt(d) * abs(kept[0, 0] - 1.0) > 1e-9:
         raise ValueError(f"{label} P != P within 1e-9: the vacuum weight is {w[0, 0]}")
-    images = _attenuator_apply(_attenuator_products(w), x)
+    images = _attenuator_apply(_attenuator_plan(eta, d), x)
     for (state_id, rho), image in zip(states, images):
         before, after = trace_norm(rho), trace_norm(image)
         if after > before + 1e-8:
@@ -185,8 +371,13 @@ def _operator_batch(ops) -> np.ndarray:
 
 
 def _hermitian_batch(ops, caller: str) -> np.ndarray:
+    """``ops`` as a ``(S, d, d)`` batch, each Hermitian to 1e-12 of the largest entry.
+
+    The check runs one state at a time, so it holds no batch-sized temporary.
+    """
     x = _operator_batch(ops)
-    if np.abs(x - x.conj().transpose(0, 2, 1)).max(initial=0.0) > 1e-12 * np.abs(x).max(initial=0.0):
+    scale = 1e-12 * max((np.abs(op).max() for op in x), default=0.0)
+    if any(np.abs(op - op.conj().T).max() > scale for op in x):
         raise ValueError(f"{caller} requires Hermitian operators")
     return x
 
@@ -199,21 +390,24 @@ def _hamiltonian(hamiltonian, d: int) -> np.ndarray:
 
 
 def attenuator_deviation(eta: complex, ops) -> np.ndarray:
-    """``Phi_eta(x) - |0><0| Tr x`` for each ``x`` of a ``(S, d, d)`` batch, matrix-free.
+    """``Phi_eta(x) - |0><0| Tr x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
     The attenuator keeps the charge ``m - n`` of every entry:
     ``(Phi x)_{mn} = sum_l w_{m,l} conj(w_{n,l}) x_{m+l,n+l}``, where
     ``w_{m,l} = sqrt(C(m+l, m) (1-|eta|^2)^l) eta^m`` is the Kraus entry
-    ``(m, m+l)`` of :func:`attenuator_kraus`.  That is ``d`` sliced
-    outer-product updates, ``O(S d^3)`` time and ``O(S d^2)`` memory, where
+    ``(m, m+l)`` of :func:`attenuator_kraus`.  :func:`_attenuator_plan`
+    turns that into real Toeplitz products on the charge diagonals, one
+    dgemm for ``d <= 128``: ``O(S d^3)`` time and ``O(S d^2)`` memory, where
     :func:`to_superoperator` needs ``O(d^5)`` time and ``16 d^4`` bytes.  The
-    vacuum entry ``sum_{l>=1} ((1-|eta|^2)^l - 1) x_ll`` is formed by
-    ``expm1``/``log1p``, so a deviation far below 1 keeps its relative
-    precision instead of rounding at ``1 - |eta|^2``.
+    kernel reads the lower triangles only, so the batch must be Hermitian;
+    that is checked once per call.  The vacuum entry
+    ``sum_{l>=1} ((1-|eta|^2)^l - 1) x_ll`` is formed by ``expm1``/``log1p``,
+    so a deviation far below 1 keeps its relative precision instead of
+    rounding at ``1 - |eta|^2``.  The result is exactly Hermitian.
     """
-    x = _operator_batch(ops)
+    x = _hermitian_batch(ops, "attenuator_deviation")
     d = x.shape[1]
-    out = _attenuator_apply(_attenuator_products(_attenuator_weights(eta, d)), x)
+    out = _attenuator_apply(_attenuator_plan(eta, d), x)
     keep = min(abs(complex(eta)) ** 2, 1.0)
     levels = np.arange(d)
     if keep < 1.0:
@@ -221,7 +415,7 @@ def attenuator_deviation(eta: complex, ops) -> np.ndarray:
         shrink = np.expm1(levels[1:] * np.log1p(-keep))
     else:
         shrink = np.full(d - 1, -1.0)
-    out[:, 0, 0] = (np.diagonal(x, axis1=1, axis2=2)[:, 1:] * shrink).sum(axis=1)
+    out[:, 0, 0] = (np.diagonal(x, axis1=1, axis2=2)[:, 1:].real * shrink).sum(axis=1)
     return out
 
 
@@ -467,8 +661,9 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
     """``(M e^{tL/n})^n x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
     ``M`` is the attenuator at ``eta = channel`` when ``channel`` is a
-    number, applied by the charge-diagonal Kraus sum of
-    :func:`attenuator_deviation` (its weight table built once per call), or
+    number, applied by the Toeplitz products of :func:`_attenuator_plan`
+    (the plan built once per call; each step is one real dgemm for
+    ``d <= 128``), or
     the :class:`Superoperator` ``channel`` applied to the column-stacked
     batch.  ``L = -i[H, .]`` for ``H = hamiltonian`` or dephasing at rate
     ``r = dephasing_rate`` (:class:`Dephasing`), not both; ``e^{tL/n}`` is
@@ -536,10 +731,10 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
             return (y.transpose(0, 2, 1).reshape(s, d * d) @ m_t).reshape(s, d, d).transpose(0, 2, 1)
 
     else:
-        products = tuple(_attenuator_products(_attenuator_weights(channel, d)))
+        plan = _attenuator_plan(channel, d)
 
         def mix(y):
-            return _attenuator_apply(products, y)
+            return _attenuator_apply(plan, y)
 
     root_d = float(np.sqrt(d))
     previous = np.inf

@@ -90,15 +90,17 @@ _STATE_STREAM_BASE = 1000
 # binomial kind hold dense d^2 x d^2 matrices: at most 9, from peaks at d =
 # 16 and 20 of 6.6 to 7.4 for zeno and 8.3 for the gapped binomial kind.
 _LIVE_MATRICES = 9
-# Mixing holds only d x d arrays: the states, their images and the kernel's
-# temporaries.  The most it holds at once, per test state plus one for the
-# weight table, from peaks at d = 64 and 128 with 1, 4 and 8 states: 3.2 to 4.4.
-_LIVE_MIXING_ARRAYS = 5
-# An attenuator zeno run holds the d weight products of zeno_action,
-# sum_k k^2 = d(d+1)(2d+1)/6 entries, and d x d arrays: the states, the
-# limits and the step's temporaries.  Past the products, peaks at d = 8 to
-# 128 with 1, 4 and 8 states held at most 9.5 such arrays per state plus one.
-_LIVE_ZENO_ARRAYS = 12
+# Mixing holds only d x d arrays: the states, their images, the kernel's
+# charge diagonals and temporaries, and its plan (the Toeplitz matrix and the
+# scales, about two arrays).  The most it holds at once, per test state plus
+# one, from peaks at d = 16 to 200 with 1, 4 and 8 states: 3.7 to 6.0 (at
+# d = 8, where an array is 1 KiB, fixed overhead takes it to 8.6).
+_LIVE_MIXING_ARRAYS = 7
+# An attenuator zeno run holds d x d arrays only: the states, the limits, the
+# step's temporaries and the plan of the attenuator kernel.  Peaks at d = 16
+# to 200 with 1, 4 and 8 states held 6.7 to 8.6 such arrays per state plus
+# one (11.4 at d = 8).
+_LIVE_ZENO_ARRAYS = 10
 # The most grid points a run lists, zeno_action's steps over a grid, and
 # damped_action's substeps over a grid.
 _GRID_POINTS = 10_000
@@ -352,8 +354,7 @@ def _charge(cfg: ExperimentConfig) -> tuple:
         return 16 * count * d**2, f"the damping kernel's {count} complex {d}x{d} arrays"
     if cfg.kind == "zeno" and cfg.channel_type == "attenuator":
         count = _LIVE_ZENO_ARRAYS * arrays
-        need = d * (d + 1) * (2 * d + 1) // 6 + count * d**2
-        return 16 * need, f"the attenuator's weight products and {count} complex {d}x{d} arrays"
+        return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
     return 16 * _LIVE_MATRICES * d**4, f"{_LIVE_MATRICES} dense complex {d * d}x{d * d} matrices"
 
 

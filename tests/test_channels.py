@@ -161,6 +161,117 @@ radii = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_valu
 angles = st.floats(min_value=-np.pi, max_value=np.pi)
 
 
+def attenuator_loop(eta, x):
+    """``Phi_eta(x)`` by ``d`` sliced outer-product updates of the Kraus weights, the reference of the Toeplitz kernel.
+
+    It runs in long double, weights included (the recurrence of
+    ``channels._attenuator_weights``), so that its own rounding, about ``d``
+    ulp of double at ``|eta| = 1``, does not count against the kernel.  Like
+    the kernel, it takes ``|eta|`` and ``1 - |eta|^2`` in double.
+    """
+    d = x.shape[1]
+    radius = abs(complex(eta))
+    eta = np.clongdouble(eta) / abs(np.clongdouble(eta)) * np.longdouble(radius) if radius else np.clongdouble(0)
+    levels = np.arange(d, dtype=np.longdouble)
+    w = np.empty((d, d), dtype=np.clongdouble)
+    w[0] = np.sqrt(np.longdouble(1.0 - min(radius**2, 1.0))) ** levels
+    w[1:] = eta * np.sqrt((levels[1:, None] + levels) / levels[1:, None])
+    np.cumprod(w, axis=0, out=w)
+    out = np.zeros(x.shape, dtype=np.clongdouble)
+    for l in range(d):
+        k = d - l
+        out[:, :k, :k] += np.outer(w[:k, l], w[:k, l].conj()) * x[:, l:, l:]
+    return out
+
+
+def attenuator_kernel(eta, x):
+    return channels._attenuator_apply(channels._attenuator_plan(eta, x.shape[1]), x)
+
+
+def hermitian_batch(d, seed):
+    """A Fock projector, a full-rank density matrix and a Hermitian matrix of both signs."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2, d, d, 2)) @ [1, 1j]
+    rho = g[0] @ g[0].conj().T
+    return np.stack([fock_projector(int(rng.integers(d)), d), rho / np.trace(rho).real, g[1] + g[1].conj().T])
+
+
+def assert_matches_loop(eta, x, tol):
+    got = attenuator_kernel(eta, x)
+    assert np.isfinite(got).all()
+    for y, expected, xi in zip(got, attenuator_loop(eta, x), x):
+        assert np.abs(y - expected).max() <= tol * trace_norm(xi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=40),
+    radius=radii,
+    angle=angles,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attenuator_kernel_matches_the_slice_loop(d, radius, angle, seed):
+    # to 1e-15 of each input's trace norm, entry by entry
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        assert_matches_loop(unit_disc(radius, angle), hermitian_batch(d, seed), 1e-15)
+
+
+@pytest.mark.parametrize("d, eta", [(128, 0.5), (200, 0.1), (200, 0.5), (200, 0.95), (200, 0.6 + 0.3j)])
+def test_attenuator_kernel_past_the_factorial_range(d, eta):
+    # s_j = sqrt(j!) overflows past j = 170, so d = 200 takes two blocks of
+    # levels and three tiles.  At d = 128, eta = 0.5, flushing c_l below
+    # linalg.FLOOR would move entry (29, 29) by 2.8e-5: c_98 ~ 6e-167 meets
+    # s s ~ 1e213.  Measured: at most 9.4e-16 of the trace norm
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        assert_matches_loop(eta, hermitian_batch(d, 7), 2e-15)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.99995])
+def test_attenuator_plan_keeps_its_scales_in_range_at_d2000(eta):
+    # one block of 2000 levels would take out-scales past 2^1000 (2^901 at
+    # d = 1500); in blocks of 128 they stay below 2^290, so what underflows
+    # costs at most 128 2^-784 of an entry
+    tables, tiles = channels._attenuator_plan(eta, 2000)
+    for rows, cols, toeplitz, gauge, shift, scales in tiles:
+        scale_in, scale_out = scales or channels._tile_scales(tables, rows, cols, gauge, shift)
+        assert np.abs(toeplitz).max() < 1 and np.abs(scale_in).max() < 1
+        assert np.abs(scale_out).max() < 2.0**300
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=150),
+    radius=radii,
+    angle=angles,
+    radius2=radii,
+    angle2=angles,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attenuator_kernel_keeps_the_semigroup_law_the_trace_and_hermiticity(d, radius, angle, radius2, angle2, seed):
+    # Phi_eta Phi_mu = Phi_{eta mu} and Tr Phi(x) = Tr x, across the one-block
+    # and two-block plans; the image is Hermitian entry for entry.  eta mu is
+    # rounded, and an ulp of |eta mu| moves Phi_{eta mu}(|k><k|) by 4k ulp in
+    # trace norm (5.8e-14 at |eta| = |mu| = 1, k = 140), hence the d term
+    eta, mu = unit_disc(radius, angle), unit_disc(radius2, angle2)
+    x = hermitian_batch(d, seed)
+    once = attenuator_kernel(eta * mu, x)
+    twice = attenuator_kernel(eta, attenuator_kernel(mu, x))
+    for a, b, xi in zip(twice, once, x):
+        size = trace_norm(xi)
+        assert trace_norm(a - b) <= (2e-14 + 2e-15 * d) * size
+        assert abs(np.trace(b) - np.trace(xi)) <= 5e-14 * size
+        assert np.array_equal(a, a.conj().T) and np.array_equal(b, b.conj().T)
+
+
+def test_attenuator_deviation_requires_a_hermitian_batch():
+    # the kernel reads the lower triangles only, so a non-Hermitian input
+    # is refused once per call rather than mapped wrongly
+    x = hermitian_batch(6, 3)
+    x[1, 0, 5] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        attenuator_deviation(0.5, x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(min_value=2, max_value=64),

@@ -164,9 +164,9 @@ def test_size_check_counts_live_dense_matrices(monkeypatch):
 
 
 def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
-    # memory for exactly 5 (S + 1) d x d complex arrays at d = 100 and S = 2
-    # admits d = 100, not d = 101 or a third state; a zeno run of that size
-    # also holds the attenuator's weight products, so it is charged more
+    # memory for exactly _LIVE_MIXING_ARRAYS (S + 1) d x d complex arrays at
+    # d = 100 and S = 2 admits d = 100, not d = 101 or a third state; a zeno
+    # run of that size holds more arrays per state, so it is charged more
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MIXING_ARRAYS * 3 * 100**2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     mixing = MINI_MIXING.replace("dimension = 8", "dimension = 100")
@@ -184,12 +184,12 @@ def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
 @pytest.mark.parametrize("kind", ["zeno", "damping"])
 def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind):
     # memory for exactly what an attenuator run holds at d = 100 with two
-    # states admits d = 100, not d = 101 or a third state: zeno its weight
-    # products, sum_k k^2 entries, and some d x d arrays per state plus one,
-    # damping the Krylov bases of its 24 nodes, d x d arrays per state plus one
+    # states admits d = 100, not d = 101 or a third state: zeno some d x d
+    # arrays per state plus one (its kernel's plan among them), damping the
+    # Krylov bases of its 24 nodes, d x d arrays per state plus one
     d = 100
     if kind == "zeno":
-        entries = d * (d + 1) * (2 * d + 1) // 6 + experiments._LIVE_ZENO_ARRAYS * 3 * d**2
+        entries = experiments._LIVE_ZENO_ARRAYS * 3 * d**2
     else:
         entries = math.ceil(channels.damping_arrays(d) * 3) * d**2
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": entries}
@@ -338,6 +338,17 @@ def test_mixing_fock_rows_match_closed_form(d, eta):
             k, n = int(row.state_id.partition(":")[2]), int(row.parameter)
             exact = -2.0 * np.expm1(k * np.log1p(-abs(cfg.eta) ** (2 * n)))
             assert abs(row.error - exact) <= 1e-14 * exact, row
+
+
+def test_mixing_fock_row_at_d200_matches_closed_form():
+    # past the overflow of sqrt(j!) at j = 170 the kernel runs on two blocks
+    # of levels; ||Phi_{eta^n}(|1><1|) - |0><0|||_1 = 2 |eta|^{2n}
+    text = MINI_MIXING.replace("dimension = 8", "dimension = 200").replace("fock:1, random:0", "fock:1")
+    cfg = parse_config_text(text)
+    rows = run_experiment(cfg)
+    assert len(rows) == cfg.grid_count
+    for row in rows:
+        assert abs(row.error - 2 * abs(cfg.eta) ** (2 * row.parameter)) <= 1e-13, row
 
 
 def test_mixing_runs_without_a_superoperator(monkeypatch):

@@ -120,6 +120,26 @@ def test_trace_distance_zero_vs_plus():
     assert 0.5 * trace_norm(zero - plus) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
+def test_trace_norm_takes_eigenvalues_of_an_exactly_hermitian_matrix(monkeypatch):
+    # an exactly Hermitian input takes sum |eigvalsh|, the same norm as the
+    # SVD; one ulp off Hermitian, the SVD it keeps
+    g = rand_complex(24)
+    a = g + g.conj().T
+    singular = np.linalg.svd(a, compute_uv=False).sum()
+    svd = np.linalg.svd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exactly Hermitian matrix took the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert abs(trace_norm(a) - singular) <= 1e-14 * singular
+    a[0, 1] = np.nextafter(a[0, 1].real, np.inf) + 1j * a[0, 1].imag
+    with pytest.raises(AssertionError, match="took the SVD"):
+        trace_norm(a)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert abs(trace_norm(a) - singular) <= 1e-14 * singular
+
+
 def test_trace_norm_unitary_invariance():
     a = rand_complex(8)
     u, _ = np.linalg.qr(rand_complex(8))
