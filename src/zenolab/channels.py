@@ -490,9 +490,12 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     ``B = -i t [H_off, .]``, for the off-diagonal part of ``H``, is two dense
     products; a diagonal ``H`` leaves ``B = 0`` and one back-substitution.
 
-    Otherwise ``Y <- (z - T)^{-1} (x + B Y)`` is iterated; its residual
+    Otherwise ``Y <- (z - T)^{-1} (x + B Y)`` is iterated in four
+    ``(node, m, state, n)`` buffers allocated once per call; its residual
     ``(z - A) Y_{j+1} - x = B (Y_j - Y_{j+1})`` comes from the two ``B Y`` it
-    computes anyway.  A node's residual is weighted by ``|w_k|`` and by
+    computes anyway.  The far nodes settle first: the nodes past the last
+    unsettled one keep their solution, and only those before it iterate on.
+    A node's residual is weighted by ``|w_k|`` and by
     ``max(1, ||(z_k - T)^{-1} x|| / ||x||)``, which tracks the size of its
     solution (up to 1e3 at the far nodes of a long jump chain) and with it
     how far the residual moves ``Y_k``.  A node is settled once that weighted
@@ -533,78 +536,75 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     steps = int(damping_substeps(gamma, t, np.linalg.norm(h, 2)))
     tau = t / steps
 
-    # the back-substitution's coefficients, laid out (m, node, 1, n) like the
-    # iterates (m, node, state, n), so that row m of every Y_k is one slice
+    # the back-substitution's coefficients, laid out (node, m, 1, n) like the iterates
     z, w = _contour(_CONTOUR_POINTS)
     levels, e = np.arange(d), np.diagonal(h)
     charge = levels[:, None] - levels
     diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * dephasing_rate * charge**2 + 1j * (e[:, None] - e))
-    inverse = 1.0 / (z[:, None, None] + diagonal[:, None, None, :])
+    inverse = 1.0 / (z[:, None, None, None] + diagonal[:, None, :])
     root = np.sqrt(levels[1:])
-    jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, None, :] * inverse[:-1, :, :, :-1]
+    jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, :] * inverse[:, :-1, :, :-1]
     off = -1j * tau * (h - np.diag(e))
+    # the iterates, the right-hand side (also B Y's scratch), B Y now and one iteration back
+    y, f, by, old = np.empty((4, len(z), d, s, d), dtype=np.complex128)
 
-    def solve(f, inverse, jump):
-        """``(z_k - T)^{-1} f`` at the nodes that ``inverse`` and ``jump`` hold: a back-substitution from the last row up."""
-        y = f * inverse
+    def solve(f, inverse, jump, y):
+        """``(z_k - T)^{-1} f`` into ``y`` at the nodes that ``inverse`` and ``jump`` hold: a back-substitution from the last row up."""
+        np.multiply(f, inverse, out=y)
         for m in range(d - 2, -1, -1):
-            y[m, :, :, :-1] += jump[m] * y[m + 1, :, :, 1:]
+            y[:, m, :, :-1] += jump[:, m] * y[:, m + 1, :, 1:]
         return y
 
-    def apply_b(y):
-        return (off @ y.reshape(d, -1)).reshape(y.shape) - (y.reshape(-1, d) @ off).reshape(y.shape)
+    def apply_b(y, out, scratch):
+        """``B y`` into ``out``; ``scratch`` takes the right product."""
+        np.matmul(off, y.reshape(len(y), d, -1), out=out.reshape(len(y), d, -1))
+        return np.subtract(out, np.matmul(y.reshape(-1, d), off, out=scratch.reshape(-1, d)).reshape(y.shape), out=out)
 
     def norm(y):
-        return np.sqrt(np.einsum("mpsn,mpsn->ps", y.conj(), y).real)
+        return np.sqrt(np.einsum("pmsn,pmsn->ps", y.view(np.float64), y.view(np.float64)))
 
     def substep(x):
-        """The node solutions ``Y_k`` of one substep."""
-        v = x.transpose(1, 0, 2)[:, None]
+        """The node solutions ``Y_k`` of one substep, in ``y``."""
+        v = x.transpose(1, 0, 2)
+        solve(v, inverse, jump, y)
         if not off.any():
-            return solve(v, inverse, jump)
+            return y
         norms = np.maximum(np.linalg.norm(x.reshape(s, -1), axis=1), np.finfo(float).tiny)
-        by, previous = 0.0, np.full(len(z), np.inf)
+        weight = np.abs(w)[:, None] * np.maximum(1.0, norm(y) / norms)
+        live, previous, fresh, last = len(z), np.full(len(z), np.inf), by, old
         for j in range(_ITERATIONS):
-            y = solve(v + by, inverse, jump)
-            if not j:
-                # a node's error is about its residual times ||(z_k - T)^{-1} x||,
-                # which reaches 1e3 ||x|| at the far nodes of a long jump chain
-                weight = np.abs(w)[:, None] * np.maximum(1.0, norm(y) / norms)
-            # the residual (z_k - A) Y_{j+1} - x is B (Y_j - Y_{j+1})
-            by, residual = apply_b(y), by
-            residual -= by
+            if j:
+                solve(np.add(v, last[:live], out=f[:live]), inverse[:live], jump[:live], y[:live])
+            apply_b(y[:live], fresh[:live], f[:live])
+            residual = np.subtract(last[:live], fresh[:live], out=last[:live]) if j else fresh[:live]
             error = (weight * norm(residual) / norms).max(axis=1)
             done = _settled(error, previous)
             if done.all():
                 return y
             if (~done & (error > previous / 2)).any():
                 break
-            previous = error
-        del by, residual
-        y[:, ~done] = krylov(v, norms, weight[~done], np.flatnonzero(~done))
-        return y
+            live = 1 + np.flatnonzero(~done)[-1]
+            weight, previous, fresh, last = weight[:live], error[:live], last, fresh
+        return krylov(v, norms, weight[~done[:live]], np.flatnonzero(~done[:live]))
 
     def krylov(v, norms, weight, live):
-        """The solutions at nodes ``live`` by GMRES on ``(z_k - A)(z_k - T)^{-1}``; settled nodes leave the batch."""
-        out = np.empty((d, len(live), s, d), dtype=np.complex128)
-        at = np.arange(len(live))
-        inv, jmp = inverse[:, live], jump[:, live]
+        """``y`` with the solutions at nodes ``live`` by GMRES on ``(z_k - A)(z_k - T)^{-1}``; settled nodes leave the batch."""
         # per live node and state: the basis, the Hessenberg columns, kept
         # triangular by Givens rotations, and the rotated right-hand side,
         # whose last entry is the residual norm
-        basis = [np.broadcast_to(v / norms[:, None], (d, len(live), s, d))]
+        basis = [np.broadcast_to(v / norms[:, None], (len(live), d, s, d))]
         g = [np.broadcast_to(norms.astype(np.complex128), (len(live), s))]
         columns, rotations = [], []
         previous, done = np.full(len(live), np.inf), np.zeros(len(live), dtype=bool)
         for j in range(_ITERATIONS + _KRYLOV_LEVELS * d):
             # Arnoldi on I - B (z_k - T)^{-1}, by modified Gram-Schmidt
-            u = basis[j] - apply_b(solve(basis[j], inv, jmp))
+            u = basis[j] - apply_b(solve(basis[j], inverse[live], jump[live], f[: len(live)]), by[: len(live)], old[: len(live)])
             column = []
             for q in basis:
-                column.append(np.einsum("mpsn,mpsn->ps", q.conj(), u))
-                u -= column[-1][None, :, :, None] * q
+                column.append(np.einsum("pmsn,pmsn->ps", q.conj(), u))
+                u -= column[-1][:, None, :, None] * q
             size = norm(u)
-            basis.append(u / np.where(size > 0, size, 1.0)[None, :, :, None])
+            basis.append(u / np.where(size > 0, size, 1.0)[:, None, :, None])
             for i, (c, r) in enumerate(rotations):
                 column[i], column[i + 1] = c * column[i] + r * column[i + 1], c * column[i + 1] - r.conj() * column[i]
             top = np.abs(column[j])
@@ -627,24 +627,24 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
             for i, column in enumerate(columns):
                 tri[..., : i + 1, i] = np.stack([part[done] for part in column[: i + 1]], axis=-1)
             coef = np.linalg.solve(tri, np.stack([part[done] for part in g[:-1]], axis=-1)[..., None])[..., 0]
-            combined = sum(coef[None, :, :, i, None] * q[:, done] for i, q in enumerate(basis[:-1]))
-            out[:, at[done]] = solve(combined, inv[:, done], jmp[:, done])
+            combined = sum(coef[:, None, :, i, None] * q[done] for i, q in enumerate(basis[:-1]))
+            y[live[done]] = solve(combined, inverse[live[done]], jump[live[done]], combined)
             if done.all():
-                return out
+                return y
             keep = ~done
-            at, inv, jmp, weight, previous, done = at[keep], inv[:, keep], jmp[:, keep], weight[keep], previous[keep], done[keep]
+            live, weight, previous, done = live[keep], weight[keep], previous[keep], done[keep]
             for i, q in enumerate(basis):
-                basis[i] = q[:, keep]
+                basis[i] = q[keep]
             g = [part[keep] for part in g]
             columns = [[part[keep] for part in column] for column in columns]
             rotations = [(c[keep], r[keep]) for c, r in rotations]
         raise ValueError(
             f"damped_action: the Krylov solve missed its residual after {j + 1} iterations at "
-            f"{len(at)} of {len(z)} nodes, weighted residual {previous.max():.3g}"
+            f"{len(live)} of {len(z)} nodes, weighted residual {previous.max():.3g}"
         )
 
     for _ in range(steps):
-        out = np.einsum("p,mpsn->smn", w, substep(x))
+        out = np.einsum("p,pmsn->smn", w, substep(x))
         x = out + out.conj().transpose(0, 2, 1)
     return x
 

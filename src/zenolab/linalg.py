@@ -55,7 +55,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -91,13 +91,14 @@ def trace_norm(a) -> float:
     """Sum of singular values of a square matrix.
 
     An exactly Hermitian matrix (``a == a^dag`` entry for entry, an
-    ``O(d^2)`` test) takes ``sum |eigvalsh(a)|``, the same norm for about 60%
-    of the cost of the SVD that every other matrix takes.
+    ``O(d^2)`` test on the real and imaginary parts, with no conjugate copy)
+    takes ``sum |eigvalsh(a)|``, the same norm for about 60% of the cost of
+    the SVD that every other matrix takes.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm requires a square matrix")
-    if np.array_equal(a, a.conj().T):
+    if np.array_equal(a.real, a.real.T) and np.array_equal(a.imag, -a.imag.T):
         return float(np.abs(np.linalg.eigvalsh(a)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
 

@@ -140,6 +140,24 @@ def test_trace_norm_takes_eigenvalues_of_an_exactly_hermitian_matrix(monkeypatch
     assert abs(trace_norm(a) - singular) <= 1e-14 * singular
 
 
+def test_trace_norm_hermitian_test_reads_the_imaginary_parts(monkeypatch):
+    # a complex symmetric matrix has a symmetric real part and is not
+    # Hermitian: eigvalsh of its lower triangle would give 2, not 2 sqrt(2)
+    assert trace_norm(np.array([[1, 1j], [1j, 1]])) == pytest.approx(2 * np.sqrt(2), abs=1e-14)
+    g = rand_complex(8)
+    a = g + g.conj().T
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    a[3, 3] = complex(a[3, 3].real, -0.0)  # a negative zero is still Hermitian
+    trace_norm(a)
+    a[2, 5] = complex(a[2, 5].real, np.nextafter(a[2, 5].imag, np.inf))
+    with pytest.raises(AssertionError, match="took the SVD"):
+        trace_norm(a)
+
+
 def test_trace_norm_unitary_invariance():
     a = rand_complex(8)
     u, _ = np.linalg.qr(rand_complex(8))
