@@ -2,8 +2,8 @@
 of truncated bosonic systems.
 
 The attenuator's mixing, zeno and damping sweeps apply their maps
-matrix-free; the gapped zeno channel, the binomial kind and the reference
-engine of :mod:`zenolab.zeno` work on dense superoperators."""
+matrix-free; the gapped zeno channel and the binomial kind work on dense
+superoperators."""
 
 from .linalg import (
     adjoint,
@@ -32,15 +32,12 @@ from .channels import (
     attenuator_kraus,
     attenuator_mixing_bound,
     choi_matrix,
-    identity_superoperator,
     is_completely_positive,
     to_superoperator,
-    transpose_superoperator,
     vacuum_projection_superop,
 )
 from .binomial import (
     binomial_product,
-    expansion_term_enumerated,
     expansion_terms,
     expansion_terms_applied,
     restricted_count,
@@ -55,13 +52,10 @@ from .zeno import (
     FitResult,
     ZenoConfig,
     constant_big_n,
-    damped_evolution,
     effective_dynamics,
     fit_log_envelope,
     fit_rate,
     theoretical_zeno_bound_ssup,
-    zeno_product,
-    zeno_product_iterated,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ The product (M + L/n)^n expands into order-k terms y_{n,k}, each a
 normalized sum over the discrete simplex of k-tuples with sum <= n - k.
 Counting is exact (big integers); y_{n,k} is extracted as the degree-k
 coefficient of (M + s L/n)^n by truncated polynomial arithmetic, never by
-enumerating the simplex.  Enumeration is kept only as a brute-force oracle.
+enumerating the simplex.  The counts keep brute-force enumeration oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .linalg import as_matrix, matrix_power, trace_norm
+from .linalg import as_matrix, trace_norm
 
 __all__ = [
     "SimplexBoundCheck",
@@ -27,7 +27,6 @@ __all__ = [
     "restricted_difference_bound_check",
     "expansion_terms",
     "expansion_terms_applied",
-    "expansion_term_enumerated",
     "binomial_product",
     "workhorse_limit_check",
 ]
@@ -171,50 +170,13 @@ def expansion_terms_applied(m, l_n, n: int, k_max: int, vector) -> list:
     return _expansion_coefficients(m, l_n / n, n, k_max, v)
 
 
-def expansion_term_enumerated(m, l_n, n: int, k: int, max_n: int = 25) -> np.ndarray:
-    """Brute-force oracle for y_{n,k}: walk every simplex tuple explicitly.
-
-    Sums M^{i_{k+1}} L M^{i_k} L ... L M^{i_1} / n^k over all tuples with
-    nonnegative entries summing to at most n - k.  The walk visits C(n, k)
-    tuples, so it is capped at ``max_n``; the polynomial route in
-    :func:`expansion_terms` is the production path.
-    """
-    m = as_matrix(m)
-    l_n = as_matrix(l_n)
-    if n > max_n:
-        raise ValueError(f"enumeration oracle capped at n={max_n}, got {n}")
-    if k > n or k < 0:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    powers = [np.eye(m.shape[0], dtype=np.complex128)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-    if k == 0:
-        return powers[n]
-    total = np.zeros_like(m)
-
-    def walk(depth: int, remaining: int, indices: tuple):
-        nonlocal total
-        if depth == k:
-            trailing = remaining  # i_{k+1} = n - k - sum(i_1..i_k)
-            product = powers[trailing]
-            for idx in reversed(indices):
-                product = product @ l_n @ powers[idx]
-            total = total + product
-            return
-        for i in range(remaining + 1):
-            walk(depth + 1, remaining - i, indices + (i,))
-
-    walk(0, n - k, ())
-    return total / n**k
-
-
 def binomial_product(m, l_n, n: int) -> np.ndarray:
     """(M + L_n/n)^n by binary exponentiation."""
     m = as_matrix(m)
     l_n = as_matrix(l_n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return matrix_power(m + l_n / n, n)
+    return np.linalg.matrix_power(m + l_n / n, n)
 
 
 @dataclass(frozen=True)
@@ -228,6 +190,8 @@ def workhorse_limit_check(m, l, p, k: int, n_grid, x) -> WorkhorseResult:
 
     k = 0 compares M^n x against P x, the plain mixing error.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got k={k}")
     m = as_matrix(m)
     l = as_matrix(l)
     p = as_matrix(p)
@@ -236,7 +200,7 @@ def workhorse_limit_check(m, l, p, k: int, n_grid, x) -> WorkhorseResult:
         target = p @ x
     else:
         plp = p @ l @ p
-        target = matrix_power(plp, k) @ x / factorial(k)
+        target = np.linalg.matrix_power(plp, k) @ x / factorial(k)
     records = []
     for n in n_grid:
         if n < k:

@@ -27,8 +27,6 @@ __all__ = [
     "zeno_action",
     "to_superoperator",
     "apply",
-    "identity_superoperator",
-    "transpose_superoperator",
     "choi_matrix",
     "is_completely_positive",
     "attenuator_generator",
@@ -41,10 +39,9 @@ CHOI_MAX_DIM = 32
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by a finite Kraus list."""
+    """A trace-preserving completely positive map given by a finite Kraus list."""
 
     kraus_ops: tuple
-    trace_preserving: bool = True
 
     def __post_init__(self):
         if not self.kraus_ops:
@@ -56,13 +53,8 @@ class KrausChannel:
                 raise ValueError("all Kraus operators must be square with equal dimension")
         object.__setattr__(self, "kraus_ops", ops)
         total = sum(adjoint(k) @ k for k in ops)
-        if self.trace_preserving:
-            if np.linalg.norm(total - np.eye(d)) > 1e-10:
-                raise ValueError("Kraus operators are not trace preserving within 1e-10")
-        else:
-            top = np.linalg.eigvalsh((total + total.conj().T) / 2).max()
-            if top > 1.0 + 1e-10:
-                raise ValueError("Kraus operators exceed the trace-non-increasing contract")
+        if np.linalg.norm(total - np.eye(d)) > 1e-10:
+            raise ValueError("Kraus operators are not trace preserving within 1e-10")
 
     @property
     def dim(self) -> int:
@@ -74,7 +66,6 @@ class Superoperator:
     """Matrix of a linear map on d x d operators (column-stacking convention)."""
 
     matrix: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -748,9 +739,9 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
     return (x + x.conj().transpose(0, 2, 1)) / 2
 
 
-def to_superoperator(channel: KrausChannel, label: str = "") -> Superoperator:
+def to_superoperator(channel: KrausChannel) -> Superoperator:
     mat = sum(kron(k.conj(), k) for k in channel.kraus_ops)
-    return Superoperator(matrix=mat, label=label)
+    return Superoperator(matrix=mat)
 
 
 def apply(op, x) -> np.ndarray:
@@ -765,21 +756,6 @@ def apply(op, x) -> np.ndarray:
             raise ValueError(f"dimension mismatch: superoperator dim {op.dim}, state {x.shape}")
         return devectorize(op.matrix @ vectorize(x))
     raise TypeError(f"cannot apply object of type {type(op).__name__}")
-
-
-def identity_superoperator(dim: int) -> Superoperator:
-    return Superoperator(matrix=np.eye(dim * dim, dtype=np.complex128), label="id")
-
-
-def transpose_superoperator(dim: int) -> Superoperator:
-    """x -> x^T; the canonical positive-but-not-CP map."""
-    mat = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for j in range(dim):
-        for i in range(dim):
-            unit = np.zeros((dim, dim), dtype=np.complex128)
-            unit[i, j] = 1.0
-            mat[:, j * dim + i] = vectorize(unit.T)
-    return Superoperator(matrix=mat, label="transpose")
 
 
 def choi_matrix(op) -> np.ndarray:
@@ -823,14 +799,14 @@ def attenuator_generator(dim: int) -> Superoperator:
     n_op = number_operator(dim)
     eye = np.eye(dim, dtype=np.complex128)
     mat = 2 * kron(a.conj(), a) - kron(eye, n_op) - kron(n_op.T, eye)
-    return Superoperator(matrix=mat, label="attenuator-generator")
+    return Superoperator(matrix=mat)
 
 
 def vacuum_projection_superop(dim: int) -> Superoperator:
     """x -> Tr(x) |0><0| as a superoperator; idempotent."""
     vac = vectorize(vacuum_state(dim))
     tr_row = vectorize(np.eye(dim, dtype=np.complex128)).conj()
-    return Superoperator(matrix=np.outer(vac, tr_row), label="vacuum-projection")
+    return Superoperator(matrix=np.outer(vac, tr_row))
 
 
 @dataclass(frozen=True)
@@ -851,7 +827,7 @@ class HamiltonianCommutator:
             raise ValueError(f"Hamiltonian dimension {h.shape[0]} != {dim}")
         eye = np.eye(dim, dtype=np.complex128)
         mat = -1j * (kron(eye, h) - kron(h.T, eye))
-        return Superoperator(matrix=mat, label="hamiltonian-commutator")
+        return Superoperator(matrix=mat)
 
 
 @dataclass(frozen=True)
@@ -871,13 +847,11 @@ class Dephasing:
         mat = self.rate * (
             kron(n_op.T, n_op) - 0.5 * (kron(eye, n_sq) + kron(n_sq.T, eye))
         )
-        return Superoperator(matrix=mat, label="dephasing")
+        return Superoperator(matrix=mat)
 
 
-def attenuator_mixing_bound(eta: complex, n_or_gamma, rho, *, continuous: bool = False) -> float:
-    """4 |eta|^n Tr((N+1) rho), or 4 e^{-gamma} Tr((N+1) rho) when continuous."""
+def attenuator_mixing_bound(eta: complex, n, rho) -> float:
+    """4 |eta|^n Tr((N+1) rho)."""
     rho = as_matrix(rho)
     weight = particle_number(rho) + float(np.trace(rho).real)
-    if continuous:
-        return 4.0 * float(np.exp(-n_or_gamma)) * weight
-    return 4.0 * abs(complex(eta)) ** n_or_gamma * weight
+    return 4.0 * abs(complex(eta)) ** n * weight

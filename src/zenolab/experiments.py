@@ -455,7 +455,7 @@ def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
         return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
     if cfg.generator_type == "dephasing":
         return Dephasing(rate=rate).to_superoperator(dim)
-    return Superoperator(matrix=np.zeros((dim * dim, dim * dim), dtype=np.complex128), label="zero")
+    return Superoperator(matrix=np.zeros((dim * dim, dim * dim), dtype=np.complex128))
 
 
 def _state_dim(cfg: ExperimentConfig) -> tuple:

@@ -23,8 +23,6 @@ __all__ = [
     "trace_distance",
 ]
 
-DEFAULT_TAIL_BUDGET = 1e-12
-
 
 def _check_dim(dim: int) -> int:
     if int(dim) != dim or dim < 2:

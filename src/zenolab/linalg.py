@@ -15,19 +15,6 @@ tolerance instead of about 17 term by term), and squares ``s`` times.  The
 number of squarings, which sets the rounding error (Higham, SIAM J. Matrix
 Anal. Appl. 26, 2005), is the same as for term-by-term summation.  It holds
 at most four ``D x D`` work arrays.
-
-The product kernels (:func:`matrix_power` and the polynomial products and
-squarings of :func:`matrix_exp`) work in complex128, whatever the input's
-dtype, and flush every real or imaginary part below
-``FLOOR = sqrt(finfo(float64).tiny)`` (about 1.49e-154) to zero after each
-product.  The Zeno and strong-damping limits drive most entries towards
-zero like ``|eta|^n`` or ``exp(-gamma t)``; without the flush, repeated
-squaring multiplies tiny operands inside the BLAS ``gemm`` and the
-resulting subnormal arithmetic stalls the CPU, making one product of a
-576x576 power several times slower than a product of normal operands.
-Any two parts kept by the flush multiply to a normal number.  One flush
-changes the 1-norm of any column by at most ``sqrt(2) * D * FLOOR``
-(about 1.2e-151 at D = 576), far below every tolerance in the package.
 """
 
 from __future__ import annotations
@@ -44,10 +31,7 @@ __all__ = [
     "devectorize",
     "trace_norm",
     "matrix_exp",
-    "matrix_power",
 ]
-
-FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -103,56 +87,6 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def _flush_underflow(a: np.ndarray) -> np.ndarray:
-    """Zero, in place, every real or imaginary part of magnitude below FLOOR.
-
-    ``a`` must be a freshly computed, contiguous complex128 product; the
-    array is returned for chaining.
-    """
-    v = a.view(np.float64)
-    m = v < FLOOR
-    m &= v > -FLOOR
-    np.putmask(v, m, 0.0)
-    return a
-
-
-def _square_operand(a, name: str) -> np.ndarray:
-    """A finite square complex128 matrix for the product kernels."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} requires a square matrix")
-    return m
-
-
-def matrix_power(a, n: int) -> np.ndarray:
-    """``a**n`` for an integer n >= 1 by binary powering, flushing underflow.
-
-    The multiplication schedule is numpy's ``matrix_power``, so on operands
-    that never come near the floor the result is bit-identical to it.  Each
-    product is passed through the underflow flush described in the module
-    docstring; the flush touches only freshly allocated products, never
-    ``a`` itself, and bounds the change of any column's 1-norm by
-    ``sqrt(2) * D * FLOOR`` per product.  The result is always a new
-    complex128 array, also for n = 1.
-    """
-    a = _square_operand(a, "matrix_power")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return a.copy()
-    if n == 2:
-        return _flush_underflow(a @ a)
-    if n == 3:
-        return _flush_underflow(_flush_underflow(a @ a) @ a)
-    z = result = None
-    while n > 0:
-        z = a if z is None else _flush_underflow(z @ z)
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else _flush_underflow(result @ z)
-    return result
-
-
 def _taylor_degree(theta: float, threshold: float) -> int:
     """Least m with ``theta^(m+1)/(m+1)! / (1 - theta/(m+2)) <= threshold``.
 
@@ -200,19 +134,15 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
     blocks take their ``x`` term as ``(c_{3j+1} 2**-s) a``, so the scaled
     copy ``x`` is freed once ``x^2`` and ``x^3`` are formed.
 
-    Squaring: the polynomial is squared ``s`` times.  ``x^2``, ``x^3``, each
-    Horner step once its block is added, and each squaring go through the
-    underflow flush of the module docstring, which keeps stiff exponentials
-    such as ``exp(t (gamma K + L))`` at large gamma out of subnormal
-    arithmetic; each flush changes a column's 1-norm by at most
-    ``sqrt(2) * D * FLOOR``, more than 130 orders of magnitude below the
-    default ``tol``.
+    Squaring: the polynomial is squared ``s`` times.
 
     Memory: besides the input, at most four ``D x D`` work arrays are live
     (``x^2``, ``x^3`` and two Horner buffers; the squarings ping-pong
-    between the two buffers), plus the flush's boolean masks.
+    between the two buffers).
     """
-    a = _square_operand(a, "matrix_exp")
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("matrix_exp requires a square matrix")
     if not tol > 0:
         raise ValueError("tol must be positive")
     norm = np.linalg.norm(a, 1)
@@ -227,20 +157,18 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
     ]
 
     x = a * scale if s else a  # read only, so no copy when unscaled
-    x2 = _flush_underflow(x @ x)
-    x3 = _flush_underflow(x2 @ x) if r else None
+    x2 = x @ x
+    x3 = x2 @ x if r else None
     del x
     acc = np.zeros_like(x2)
     spare = np.empty_like(x2)
     _add_block(acc, x2, a, blocks[r], spare)
-    _flush_underflow(acc)
     for j in range(r - 1, -1, -1):
         np.matmul(acc, x3, out=spare)
         acc, spare = spare, acc
         _add_block(acc, x2, a, blocks[j], spare)
-        _flush_underflow(acc)
     del x2, x3
     for _ in range(s):
         np.matmul(acc, acc, out=spare)
-        acc, spare = _flush_underflow(spare), acc
+        acc, spare = spare, acc
     return acc

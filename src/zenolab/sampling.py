@@ -87,8 +87,4 @@ def random_gapped_channel(sys_dim: int, rng: np.random.Generator, delta: float =
     fixed_vec = np.linalg.solve(np.eye(d2) - delta * conj_u, (1 - delta) * vectorize(sigma))
     rho_star = devectorize(fixed_vec)
     p_mat = np.outer(fixed_vec, vectorize(np.eye(sys_dim, dtype=np.complex128)).conj())
-    return (
-        Superoperator(matrix=m_mat, label=f"gapped-channel-{delta}"),
-        Superoperator(matrix=p_mat, label="gapped-fixed-projection"),
-        rho_star,
-    )
+    return Superoperator(matrix=m_mat), Superoperator(matrix=p_mat), rho_star

@@ -1,20 +1,17 @@
-"""Zeno products, damped evolutions, speed bounds and rate fitting.
+"""Zeno configurations, effective dynamics, speed bounds and rate fitting.
 
-The engine computes (M exp(tL/n))^n and exp(t(gamma K + L)) on the
-superoperator level, compares them against the effective dynamics
-exp(t PLP) P, and quantifies convergence rates by log-log least squares.
-
-``zeno_product`` and ``damped_evolution`` use the complex column-stacking
-matrices and accept any linear maps; they are the dense reference the tests
-hold the sweeps to.  ``ZenoConfig.validate`` runs on the same matrices; of
-the sweeps of :mod:`zenolab.experiments`, only the gapped zeno channel takes
-its checks and its limit this way.  For the attenuator the same checks are
-closed forms on its Kraus weights (:func:`zenolab.channels.attenuator_check`),
-and the limit is ``|0><0| Tr x``, because every generator of a sweep
-preserves the trace.  The sweeps apply their maps to the test states
-matrix-free: ``(M exp(tL/n))^n`` by iterating the step
+``ZenoConfig`` holds the dense column-stacking matrices of a Zeno instance
+``(M exp(tL/n))^n`` and checks them in ``validate``; of the sweeps of
+:mod:`zenolab.experiments`, only the gapped zeno channel takes its checks
+and its limit ``exp(t PLP) P`` (:func:`effective_dynamics`) this way.  For
+the attenuator the same checks are closed forms on its Kraus weights
+(:func:`zenolab.channels.attenuator_check`), and the limit is
+``|0><0| Tr x``, because every generator of a sweep preserves the trace.
+The sweeps apply their maps to the test states matrix-free:
+``(M exp(tL/n))^n`` by iterating the step
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
-contour integral (:func:`zenolab.channels.damped_action`).
+contour integral (:func:`zenolab.channels.damped_action`).  Convergence
+rates are fitted by log-log least squares.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .linalg import (
     as_matrix,
     devectorize,
     matrix_exp,
-    matrix_power,
     trace_norm,
     vectorize,
 )
@@ -37,10 +33,7 @@ __all__ = [
     "ZenoConfig",
     "SpeedBound",
     "FitResult",
-    "zeno_product",
-    "zeno_product_iterated",
     "effective_dynamics",
-    "damped_evolution",
     "constant_big_n",
     "theoretical_zeno_bound_ssup",
     "fit_rate",
@@ -119,43 +112,10 @@ class ZenoConfig:
         _check_projection_compat(self.m.matrix, self.p.matrix, "M")
 
 
-def zeno_product(cfg: ZenoConfig, n: int, x) -> np.ndarray:
-    """(M exp(tL/n))^n applied to x, by binary exponentiation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    step = cfg.m.matrix @ matrix_exp((cfg.t / n) * cfg.l.matrix)
-    return devectorize(matrix_power(step, n) @ vectorize(x))
-
-
-def zeno_product_iterated(cfg: ZenoConfig, n: int, x) -> np.ndarray:
-    """Same product by n repeated applications; cross-check route."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    step = cfg.m.matrix @ matrix_exp((cfg.t / n) * cfg.l.matrix)
-    v = vectorize(x)
-    for _ in range(n):
-        v = step @ v
-    return devectorize(v)
-
-
 def effective_dynamics(p: Superoperator, l: Superoperator, t: float) -> Superoperator:
     """exp(t P L P) P, the limit dynamics on the range of P."""
     pm = p.matrix
-    return Superoperator(matrix=matrix_exp(t * (pm @ l.matrix @ pm)) @ pm, label="effective")
-
-
-def damped_evolution(k: Superoperator, l: Superoperator, t: float, gamma: float, x) -> np.ndarray:
-    """exp(t (gamma K + L)) applied to x, by one dense exponential.
-
-    The dense reference for any K and L: the damping sweep of
-    :mod:`zenolab.experiments` runs the matrix-free
-    :func:`zenolab.channels.damped_action` instead, and the tests hold it
-    to this.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    total = matrix_exp(t * (gamma * k.matrix + l.matrix))
-    return devectorize(total @ vectorize(x))
+    return Superoperator(matrix=matrix_exp(t * (pm @ l.matrix @ pm)) @ pm)
 
 
 def constant_big_n(n: int, delta: float, length: int) -> list:

@@ -59,8 +59,9 @@ from zenolab.zeno import (
     ZenoConfig,
     effective_dynamics,
     fit_rate,
-    zeno_product,
 )
+
+from dense_reference import zeno_product
 
 RNG = np.random.default_rng(20240808)
 

@@ -5,7 +5,6 @@ import pytest
 
 from zenolab.binomial import (
     binomial_product,
-    expansion_term_enumerated,
     expansion_terms,
     expansion_terms_applied,
     restricted_count,
@@ -19,6 +18,8 @@ from zenolab.binomial import (
 from zenolab.channels import attenuator_kraus, to_superoperator, vacuum_projection_superop
 from zenolab.fock import annihilation, coherent_vector
 from zenolab.linalg import matrix_exp, vectorize
+
+from dense_reference import expansion_term_enumerated
 
 RNG = np.random.default_rng(555)
 
@@ -208,8 +209,23 @@ def test_binomial_product_projection_limit():
     assert errs[1] < errs[0]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_binomial_product_rejects_a_power_below_one(n):
+    # numpy's matrix_power would return I at n = 0 and invert at n < 0
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        binomial_product(eye, eye, n)
+
+
 # ---------------------------------------------------------------------------
 # workhorse limit
+
+
+def test_workhorse_rejects_a_negative_order():
+    # numpy's matrix_power would invert P L P, here singular, at k = -1
+    eye = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="^k must be >= 0, got k=-1$"):
+        workhorse_limit_check(eye, eye, np.zeros((4, 4)), -1, [4], np.ones(4))
 
 
 def test_workhorse_projection_with_null_plp():

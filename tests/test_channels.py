@@ -24,15 +24,16 @@ from zenolab.channels import (
     damped_action,
     is_completely_positive,
     to_superoperator,
-    transpose_superoperator,
     vacuum_projection_superop,
     zeno_action,
 )
 from zenolab.experiments import PRESETS, _generator_parts, build_states, parse_config_text
-from zenolab.fock import annihilation, coherent_vector, number_operator, particle_number, trace_distance, vacuum_state
+from zenolab.fock import annihilation, coherent_vector, number_operator, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.sampling import random_hermitian
-from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, zeno_product
+from zenolab.zeno import ZenoConfig, effective_dynamics
+
+from dense_reference import damped_evolution, transpose_superoperator, zeno_product
 
 RNG = np.random.default_rng(31337)
 
@@ -221,8 +222,8 @@ def test_attenuator_kernel_matches_the_slice_loop(d, radius, angle, seed):
 def test_attenuator_kernel_past_the_factorial_range(d, eta):
     # s_j = sqrt(j!) overflows past j = 170, so d = 200 takes two blocks of
     # levels and three tiles.  At d = 128, eta = 0.5, flushing c_l below
-    # linalg.FLOOR would move entry (29, 29) by 2.8e-5: c_98 ~ 6e-167 meets
-    # s s ~ 1e213.  Measured: at most 9.4e-16 of the trace norm
+    # sqrt(tiny) ~ 1.5e-154 would move entry (29, 29) by 2.8e-5: c_98 ~
+    # 6e-167 meets s s ~ 1e213.  Measured: at most 9.4e-16 of the trace norm
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         assert_matches_loop(eta, hermitian_batch(d, 7), 2e-15)
 
@@ -323,8 +324,6 @@ def test_attenuator_weights_closed_forms(d, radius, angle, radius2, angle2, s, s
 def test_kraus_constructor_rejects_non_trace_preserving():
     with pytest.raises(ValueError):
         KrausChannel(kraus_ops=(np.eye(2) * 1.1,))
-    # trace-non-increasing contract accepts a contraction
-    KrausChannel(kraus_ops=(np.eye(2) * 0.9,), trace_preserving=False)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +472,6 @@ def test_attenuator_mixing_bound_values():
     d = 6
     assert attenuator_mixing_bound(0.5, 2, vacuum_state(d)) == pytest.approx(4 * 0.25)
     assert attenuator_mixing_bound(0.5, 3, fock_projector(1, d)) == pytest.approx(1.0)
-    rho = rand_state(d)
-    gamma_val = attenuator_mixing_bound(0.0, 2.0, rho, continuous=True)
-    assert gamma_val == pytest.approx(4 * np.exp(-2.0) * (particle_number(rho) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +800,7 @@ def counted_attenuator_steps(monkeypatch) -> list:
 
 
 def assert_matches_dense_zeno(got, states, cfg, n):
-    """Each image against zeno.zeno_product, and its trace against the input's.
+    """Each image against dense_reference.zeno_product, and its trace against the input's.
 
     The exact product preserves the trace.  The dense power loses up to about
     n 2e-16 of it by rounding (8.7e-13 at d = 7, n = 3819, where the kernel is

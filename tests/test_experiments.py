@@ -47,7 +47,9 @@ from zenolab.experiments import (
 from zenolab.fock import annihilation, number_operator
 from zenolab.linalg import trace_norm
 from zenolab.sampling import random_gapped_channel, random_operator, stream
-from zenolab.zeno import ZenoConfig, damped_evolution, effective_dynamics, zeno_product
+from zenolab.zeno import ZenoConfig, effective_dynamics
+
+from dense_reference import damped_evolution, zeno_product
 
 MINI_ZENO = """
 [experiment]

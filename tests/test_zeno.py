@@ -10,7 +10,6 @@ from zenolab.channels import (
     attenuator_deviation,
     attenuator_generator,
     attenuator_kraus,
-    identity_superoperator,
     to_superoperator,
     vacuum_projection_superop,
 )
@@ -20,14 +19,13 @@ from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.zeno import (
     ZenoConfig,
     constant_big_n,
-    damped_evolution,
     effective_dynamics,
     fit_log_envelope,
     fit_rate,
     theoretical_zeno_bound_ssup,
-    zeno_product,
-    zeno_product_iterated,
 )
+
+from dense_reference import damped_evolution, identity_superoperator, zeno_product, zeno_product_iterated
 
 RNG = np.random.default_rng(90210)
 
