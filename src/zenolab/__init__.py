@@ -23,8 +23,7 @@ from .fock import (
     vacuum_state,
 )
 from .channels import (
-    Dephasing,
-    HamiltonianCommutator,
+    Generator,
     KrausChannel,
     Superoperator,
     apply,

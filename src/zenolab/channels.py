@@ -18,8 +18,7 @@ from .linalg import adjoint, as_matrix, devectorize, kron, trace_norm, vectorize
 __all__ = [
     "KrausChannel",
     "Superoperator",
-    "HamiltonianCommutator",
-    "Dephasing",
+    "Generator",
     "attenuator_kraus",
     "attenuator_deviation",
     "attenuator_check",
@@ -373,11 +372,43 @@ def _hermitian_batch(ops, caller: str) -> np.ndarray:
     return x
 
 
-def _hamiltonian(hamiltonian, d: int) -> np.ndarray:
-    h = as_matrix(hamiltonian)
-    if h.shape != (d, d):
-        raise ValueError(f"Hamiltonian of shape {h.shape} does not act on operators of dimension {d}")
-    return h
+@dataclass(frozen=True)
+class Generator:
+    """``L x = -i [H, x] + r (N x N - {N^2, x}/2)``, the perturbation of the Zeno and damping limits.
+
+    ``H = hamiltonian`` (None for none) must be Hermitian by the rule of
+    :func:`_hermitian_batch`; it is kept as :func:`as_matrix` coerces it,
+    never symmetrised, so every kernel reads the same bits.  The dephasing
+    rate ``r`` must be finite and ``>= 0``.
+    """
+
+    hamiltonian: np.ndarray | None = None
+    dephasing_rate: float = 0.0
+
+    def __post_init__(self):
+        if self.hamiltonian is not None:
+            h = as_matrix(self.hamiltonian)
+            if h.shape[0] != h.shape[1]:
+                raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
+            _hermitian_batch(h[None], "Generator")
+            object.__setattr__(self, "hamiltonian", h)
+        if not 0 <= self.dephasing_rate < np.inf:  # NaN fails too
+            raise ValueError(f"dephasing rate must be finite and >= 0, got {self.dephasing_rate}")
+
+    def hamiltonian_on(self, d: int) -> np.ndarray:
+        """``H``, or zero for none, checked to act on operators of dimension ``d``."""
+        if self.hamiltonian is None:
+            return np.zeros((d, d), dtype=np.complex128)
+        if self.hamiltonian.shape != (d, d):
+            raise ValueError(f"Hamiltonian of shape {self.hamiltonian.shape} does not act on operators of dimension {d}")
+        return self.hamiltonian
+
+    def superoperator(self, dim: int) -> Superoperator:
+        """``L`` as a dense ``(dim^2, dim^2)`` matrix."""
+        h, n_op = self.hamiltonian_on(dim), number_operator(dim)
+        eye, n_sq = np.eye(dim, dtype=np.complex128), n_op @ n_op
+        dephasing = kron(n_op.T, n_op) - 0.5 * (kron(eye, n_sq) + kron(n_sq.T, eye))
+        return Superoperator(matrix=-1j * (kron(eye, h) - kron(h.T, eye)) + self.dephasing_rate * dephasing)
 
 
 def attenuator_deviation(eta: complex, ops) -> np.ndarray:
@@ -457,14 +488,14 @@ def damping_substeps(gamma: float, t: float, norm: float) -> float:
     return max(1.0 if t * gamma >= 1 else 3.0, float(np.ceil(2.0 * t * norm / _SUBSTEP_SPREAD)))
 
 
-def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate: float = 0.0) -> np.ndarray:
+def damped_action(gamma: float, t: float, ops, generator: Generator = Generator()) -> np.ndarray:
     """``e^{A} x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
     ``A Y = t gamma (2 a Y a^dag - N Y - Y N) - i t [H, Y]
     + t r (N Y N - {N^2, Y}/2)``: the attenuator generator
-    (:func:`attenuator_generator`) at rate ``gamma`` plus the generators of
-    :class:`HamiltonianCommutator` (``H`` None for none) and
-    :class:`Dephasing` at rate ``r = dephasing_rate``.
+    (:func:`attenuator_generator`) at rate ``gamma`` plus ``t L`` for the
+    :class:`Generator` ``L``, with its Hamiltonian ``H`` and dephasing rate
+    ``r``, either or both.
 
     The exponential is the contour integral
     ``(1/2 pi i) int e^z (z - A)^{-1} x dz`` by the trapezoid rule on the
@@ -520,10 +551,10 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     norm; the error adds up over the substeps.
     """
     x = _hermitian_batch(ops, "damped_action")
-    if gamma < 0 or t <= 0 or dephasing_rate < 0:
-        raise ValueError("damped_action needs gamma >= 0, t > 0 and dephasing_rate >= 0")
+    if gamma < 0 or t <= 0:
+        raise ValueError("damped_action needs gamma >= 0 and t > 0")
     s, d = x.shape[:2]
-    h = np.zeros((d, d), dtype=np.complex128) if hamiltonian is None else _hamiltonian(hamiltonian, d)
+    h, rate = generator.hamiltonian_on(d), generator.dephasing_rate
     steps = int(damping_substeps(gamma, t, np.linalg.norm(h, 2)))
     tau = t / steps
 
@@ -531,7 +562,7 @@ def damped_action(gamma: float, t: float, ops, hamiltonian=None, dephasing_rate:
     z, w = _contour(_CONTOUR_POINTS)
     levels, e = np.arange(d), np.diagonal(h)
     charge = levels[:, None] - levels
-    diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * dephasing_rate * charge**2 + 1j * (e[:, None] - e))
+    diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * rate * charge**2 + 1j * (e[:, None] - e))
     inverse = 1.0 / (z[:, None, None, None] + diagonal[:, None, :])
     root = np.sqrt(levels[1:])
     jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, :] * inverse[:, :-1, :, :-1]
@@ -648,7 +679,7 @@ _SETTLED = 1e-14
 _ROUNDING = 1e-12
 
 
-def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate: float = 0.0) -> np.ndarray:
+def zeno_action(n: int, t: float, ops, channel, generator: Generator = Generator()) -> np.ndarray:
     """``(M e^{tL/n})^n x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
     ``M`` is the attenuator at ``eta = channel`` when ``channel`` is a
@@ -656,12 +687,11 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
     (the plan built once per call; each step is one real dgemm for
     ``d <= 128``), or
     the :class:`Superoperator` ``channel`` applied to the column-stacked
-    batch.  ``L = -i[H, .]`` for ``H = hamiltonian`` or dephasing at rate
-    ``r = dephasing_rate`` (:class:`Dephasing`), not both; ``e^{tL/n}`` is
-    applied exactly, as the conjugation by ``V e^{-i Lambda t/n} V^dag``
-    from one ``eigh(H)`` per call (made unitary to an ulp by one
-    Newton-Schulz step), or as the entrywise factor
-    ``exp(-(t/n) r (m - n)^2 / 2)``.
+    batch.  ``L`` is the :class:`Generator` ``generator``: ``-i[H, .]`` or
+    dephasing at rate ``r``, not both; ``e^{tL/n}`` is applied exactly, as
+    the conjugation by ``V e^{-i Lambda t/n} V^dag`` from one ``eigh(H)``
+    per call (made unitary to an ulp by one Newton-Schulz step), or as the
+    entrywise factor ``exp(-(t/n) r (m - n)^2 / 2)``.
 
     The step is iterated on the batch, ``y_k = (M e^{tL/n}) y_{k-1}``.
     ``M`` must be a channel, as every map that
@@ -682,14 +712,15 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
     construction.
     """
     x = _hermitian_batch(ops, "zeno_action")
-    if n < 1 or t <= 0 or dephasing_rate < 0:
-        raise ValueError("zeno_action needs n >= 1, t > 0 and dephasing_rate >= 0")
-    if hamiltonian is not None and dephasing_rate:
+    if n < 1 or t <= 0:
+        raise ValueError("zeno_action needs n >= 1 and t > 0")
+    rate = generator.dephasing_rate
+    if generator.hamiltonian is not None and rate:
         raise ValueError("zeno_action takes a Hamiltonian or a dephasing rate, not both")
     s, d = x.shape[:2]
     tau = t / n
-    if hamiltonian is not None:
-        lam, v = np.linalg.eigh(_hamiltonian(hamiltonian, d))
+    if generator.hamiltonian is not None:
+        lam, v = np.linalg.eigh(generator.hamiltonian_on(d))
         u = (v * np.exp(-1j * tau * lam)) @ v.conj().T
         # one Newton-Schulz step takes ||u^dag u - I|| from a few ulp (the
         # eigenvectors' own) to one: each ulp of it moves the trace by about
@@ -700,9 +731,9 @@ def zeno_action(n: int, t: float, ops, channel, hamiltonian=None, dephasing_rate
         def evolve(y):
             return u @ y @ u_dag
 
-    elif dephasing_rate:
+    elif rate:
         charge = np.subtract.outer(np.arange(d), np.arange(d))
-        factor = np.exp(-0.5 * tau * dephasing_rate * charge**2)
+        factor = np.exp(-0.5 * tau * rate * charge**2)
 
         def evolve(y):
             return y * factor
@@ -807,47 +838,6 @@ def vacuum_projection_superop(dim: int) -> Superoperator:
     vac = vectorize(vacuum_state(dim))
     tr_row = vectorize(np.eye(dim, dtype=np.complex128)).conj()
     return Superoperator(matrix=np.outer(vac, tr_row))
-
-
-@dataclass(frozen=True)
-class HamiltonianCommutator:
-    """Generator L(rho) = -i [H, rho] for Hermitian H."""
-
-    hamiltonian: np.ndarray
-
-    def __post_init__(self):
-        h = as_matrix(self.hamiltonian)
-        if np.linalg.norm(h - h.conj().T) > 1e-10:
-            raise ValueError("Hamiltonian must be Hermitian within 1e-10")
-        object.__setattr__(self, "hamiltonian", h)
-
-    def to_superoperator(self, dim: int) -> Superoperator:
-        h = self.hamiltonian
-        if h.shape[0] != dim:
-            raise ValueError(f"Hamiltonian dimension {h.shape[0]} != {dim}")
-        eye = np.eye(dim, dtype=np.complex128)
-        mat = -1j * (kron(eye, h) - kron(h.T, eye))
-        return Superoperator(matrix=mat)
-
-
-@dataclass(frozen=True)
-class Dephasing:
-    """Generator L(rho) = rate * (N rho N - (N^2 rho + rho N^2)/2)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("dephasing rate must be nonnegative")
-
-    def to_superoperator(self, dim: int) -> Superoperator:
-        n_op = number_operator(dim)
-        n_sq = n_op @ n_op
-        eye = np.eye(dim, dtype=np.complex128)
-        mat = self.rate * (
-            kron(n_op.T, n_op) - 0.5 * (kron(eye, n_sq) + kron(n_sq.T, eye))
-        )
-        return Superoperator(matrix=mat)
 
 
 def attenuator_mixing_bound(eta: complex, n, rho) -> float:

@@ -21,9 +21,7 @@ import numpy as np
 
 from . import binomial as bn
 from .channels import (
-    Dephasing,
-    HamiltonianCommutator,
-    Superoperator,
+    Generator,
     apply,
     attenuator_check,
     attenuator_deviation,
@@ -432,12 +430,12 @@ def build_states(cfg: ExperimentConfig, dim: int) -> list:
     return states
 
 
-def _generator_parts(cfg: ExperimentConfig, dim: int) -> tuple:
-    """``(H, r)``: the run's generator is ``-i[H, .]`` (none when ``H`` is None) plus dephasing at rate ``r``."""
+def _generator(cfg: ExperimentConfig, dim: int) -> Generator:
+    """The run's generator ``L``: none, dephasing at ``generator.rate``, or ``-i[H, .]`` for the configured ``H``."""
     if cfg.generator_type == "none":
-        return None, 0.0
+        return Generator()
     if cfg.generator_type == "dephasing":
-        return None, cfg.dephasing_rate
+        return Generator(dephasing_rate=cfg.dephasing_rate)
     scale = cfg.generator_scale if cfg.generator_scale is not None else 1.0 / dim
     if cfg.hamiltonian_kind == "quadrature":
         a = annihilation(dim)
@@ -446,16 +444,7 @@ def _generator_parts(cfg: ExperimentConfig, dim: int) -> tuple:
         h = number_operator(dim) * scale
     else:  # random
         h = random_hermitian(dim, stream(cfg.seed, _STREAM_GENERATOR), norm=scale)
-    return h, 0.0
-
-
-def _build_generator(cfg: ExperimentConfig, dim: int) -> Superoperator:
-    h, rate = _generator_parts(cfg, dim)
-    if h is not None:
-        return HamiltonianCommutator(hamiltonian=h).to_superoperator(dim)
-    if cfg.generator_type == "dephasing":
-        return Dephasing(rate=rate).to_superoperator(dim)
-    return Superoperator(matrix=np.zeros((dim * dim, dim * dim), dtype=np.complex128))
+    return Generator(hamiltonian=h)
 
 
 def _state_dim(cfg: ExperimentConfig) -> tuple:
@@ -481,15 +470,15 @@ def generator_norm(cfg: ExperimentConfig) -> float:
     ``2 inf_c ||H - c||`` on bounded operators (Stampfli, Pacific J. Math.
     33, 1970), which duality carries to the 1->1 norm, attained at
     ``|u><v|`` for eigenvectors ``u``, ``v`` of the extreme eigenvalues.
-    Dephasing at rate ``r`` is ``-(r/2)[N, [N, .]]``, so its norm is at most
+    At dephasing rate ``r``, ``L = -(r/2)[N, [N, .]]``, so its norm is at most
     ``(r/2)(d - 1)^2`` by the same result for ``N``, and it multiplies
     ``|0><d-1|`` by exactly that.
     """
     _, d = _state_dim(cfg)
-    h, rate = _generator_parts(cfg, d)
-    if h is None:
-        return 0.5 * rate * (d - 1) ** 2
-    spectrum = np.linalg.eigvalsh(h)
+    generator = _generator(cfg, d)
+    if generator.hamiltonian is None:
+        return 0.5 * generator.dephasing_rate * (d - 1) ** 2
+    spectrum = np.linalg.eigvalsh(generator.hamiltonian)
     return float(spectrum[-1] - spectrum[0])
 
 
@@ -587,21 +576,21 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
     # the gapped channel keeps ZenoConfig.validate() and exp(t PLP) P on its
     # complex matrices, which are dropped before the sweep.
     _, d = _state_dim(cfg)
-    h, rate = _generator_parts(cfg, d)
+    generator = _generator(cfg, d)
     states = build_states(cfg, d)
     if cfg.channel_type == "attenuator":
         attenuator_check(cfg.eta, states)
         channel, limits = cfg.eta, _vacuum_limits(states)
     else:
         channel, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
-        zcfg = ZenoConfig(m=channel, l=_build_generator(cfg, d), p=p, t=cfg.t, n_grid=cfg.grid(), test_states=states)
+        zcfg = ZenoConfig(m=channel, l=generator.superoperator(d), p=p, t=cfg.t, test_states=states)
         zcfg.validate()
         eff = effective_dynamics(p, zcfg.l, cfg.t)
         limits = np.stack([apply(eff, rho) for _, rho in states])
         del zcfg, p, eff
 
     def act(n, batch):
-        return zeno_action(n, cfg.t, batch, channel, h, rate) - limits
+        return zeno_action(n, cfg.t, batch, channel, generator) - limits
 
     return _fitted(_sweep(cfg, act, states), "power_log")
 
@@ -612,14 +601,14 @@ def _run_damping(cfg: ExperimentConfig) -> list:
     # validate() checks that closed form at s = 0.1, 1 and 10, and the limit
     # is |0><0| Tr x: no d^2 x d^2 matrix is built.
     _, d = _state_dim(cfg)
-    h, rate = _generator_parts(cfg, d)
+    generator = _generator(cfg, d)
     states = build_states(cfg, d)
     for s in (0.1, 1.0, 10.0):
         attenuator_check(math.exp(-s), states, f"exp({s} K)")
     limits = _vacuum_limits(states)
 
     def act(gamma, batch):
-        return damped_action(gamma, cfg.t, batch, h, rate) - limits
+        return damped_action(gamma, cfg.t, batch, generator) - limits
 
     return _fitted(_sweep(cfg, act, states), "power_log")
 

@@ -3,14 +3,16 @@
 ``ZenoConfig`` holds the dense column-stacking matrices of a Zeno instance
 ``(M exp(tL/n))^n`` and checks them in ``validate``; of the sweeps of
 :mod:`zenolab.experiments`, only the gapped zeno channel takes its checks
-and its limit ``exp(t PLP) P`` (:func:`effective_dynamics`) this way.  For
+and its limit ``exp(t PLP) P`` (:func:`effective_dynamics`) this way, with
+``L`` from :meth:`zenolab.channels.Generator.superoperator`.  For
 the attenuator the same checks are closed forms on its Kraus weights
 (:func:`zenolab.channels.attenuator_check`), and the limit is
 ``|0><0| Tr x``, because every generator of a sweep preserves the trace.
 The sweeps apply their maps to the test states matrix-free:
 ``(M exp(tL/n))^n`` by iterating the step
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
-contour integral (:func:`zenolab.channels.damped_action`).  Convergence
+contour integral (:func:`zenolab.channels.damped_action`), both reading
+``L`` from the same :class:`zenolab.channels.Generator`.  Convergence
 rates are fitted by log-log least squares.
 """
 
@@ -79,22 +81,20 @@ def _check_hermiticity_preserving(**maps) -> None:
 
 @dataclass(frozen=True)
 class ZenoConfig:
-    """Inputs for a Zeno sweep: contraction M, generator L, projection P."""
+    """A dense Zeno instance: contraction M, generator L, projection P, time t and test states.
+
+    ``n`` is an argument of whatever evaluates the product ``(M exp(tL/n))^n``.
+    """
 
     m: Superoperator
     l: Superoperator
     p: Superoperator
     t: float
-    n_grid: tuple
     test_states: tuple  # (state_id, matrix) pairs
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("t must be positive")
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 1 for n in grid) or sorted(grid) != list(grid):
-            raise ValueError("n_grid must be ascending positive integers")
-        object.__setattr__(self, "n_grid", grid)
         states = tuple((str(s), as_matrix(x)) for s, x in self.test_states)
         object.__setattr__(self, "test_states", states)
 

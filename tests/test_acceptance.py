@@ -42,7 +42,7 @@ from zenolab.binomial import (
     simplex_ratio_bound_check,
 )
 from zenolab.channels import (
-    HamiltonianCommutator,
+    Generator,
     Superoperator,
     apply,
     attenuator_generator,
@@ -78,7 +78,7 @@ def fock_projector(level, dim):
 
 def quadrature_commutator(dim):
     a = annihilation(dim)
-    return HamiltonianCommutator(hamiltonian=(a + a.conj().T) / dim).to_superoperator(dim)
+    return Generator(hamiltonian=(a + a.conj().T) / dim).superoperator(dim)
 
 
 def rand_state(dim, support=None):
@@ -293,7 +293,7 @@ def test_criterion_10_trivial_collapses():
     rho = fock_projector(1, d)
 
     # L = 0: Zeno error equals the mixing error, to 1e-12
-    cfg0 = ZenoConfig(m=m, l=zero, p=p, t=1.0, n_grid=(1, 2, 4, 8, 16), test_states=())
+    cfg0 = ZenoConfig(m=m, l=zero, p=p, t=1.0, test_states=())
     eff0 = effective_dynamics(p, zero, 1.0)
     dev_a = max(
         abs(
@@ -306,7 +306,7 @@ def test_criterion_10_trivial_collapses():
     # M = I: the Zeno product collapses to exp(tL), to 1e-10
     ident = Superoperator(matrix=np.eye(d * d, dtype=complex))
     l = quadrature_commutator(d)
-    cfg1 = ZenoConfig(m=ident, l=l, p=ident, t=1.0, n_grid=(4,), test_states=())
+    cfg1 = ZenoConfig(m=ident, l=l, p=ident, t=1.0, test_states=())
     dev_b = max(
         np.linalg.norm(zeno_product(cfg1, n, rho) - devectorize(matrix_exp(l.matrix) @ vectorize(rho)))
         for n in (1, 5, 32)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from zenolab import channels
 from zenolab.channels import (
-    Dephasing,
-    HamiltonianCommutator,
+    Generator,
     KrausChannel,
     Superoperator,
     apply,
@@ -27,7 +26,7 @@ from zenolab.channels import (
     vacuum_projection_superop,
     zeno_action,
 )
-from zenolab.experiments import PRESETS, _generator_parts, build_states, parse_config_text
+from zenolab.experiments import PRESETS, _generator, build_states, parse_config_text
 from zenolab.fock import annihilation, coherent_vector, number_operator, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.sampling import random_hermitian
@@ -482,29 +481,49 @@ def test_hamiltonian_commutator_generator():
     d = 4
     g = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     h = (g + g.conj().T) / 2
-    sup = HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
+    sup = Generator(hamiltonian=h).superoperator(d)
     x = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     assert np.linalg.norm(apply(sup, x) - (-1j) * (h @ x - x @ h)) <= 1e-12
-
-
-def test_hamiltonian_commutator_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        HamiltonianCommutator(hamiltonian=np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_dephasing_generator_action():
     d = 5
     rate = 0.3
-    sup = Dephasing(rate=rate).to_superoperator(d)
+    sup = Generator(dephasing_rate=rate).superoperator(d)
     x = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
     n = np.diag(np.arange(d)).astype(complex)
     expected = rate * (n @ x @ n - 0.5 * (n @ n @ x + x @ n @ n))
     assert np.linalg.norm(apply(sup, x) - expected) <= 1e-12
 
 
-def test_dephasing_rejects_negative_rate():
+def test_generator_superoperator_action():
+    # -i[H, x] + r (N x N - {N^2, x}/2) with both terms at once
+    d = 5
+    rate = 0.3
+    g = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    h = (g + g.conj().T) / 2
+    x = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    n = np.diag(np.arange(d)).astype(complex)
+    sup = Generator(hamiltonian=h, dephasing_rate=rate).superoperator(d)
+    expected = rate * (n @ x @ n - 0.5 * (n @ n @ x + x @ n @ n)) - 1j * (h @ x - x @ h)
+    assert np.linalg.norm(apply(sup, x) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, rate",
+    [
+        # eigh reads only the lower triangle, so zeno_action would run this H as H = 0
+        (np.array([[0, 1], [0, 0]], dtype=complex), 0.0),
+        (np.zeros((2, 3)), 0.0),
+        (None, -0.1),
+        # NaN passes a `rate < 0` guard and turns every image into NaN
+        (None, float("nan")),
+    ],
+    ids=["upper-only", "non-square", "negative-rate", "nan-rate"],
+)
+def test_generator_rejects_invalid_inputs(hamiltonian, rate):
     with pytest.raises(ValueError):
-        Dephasing(rate=-0.1)
+        Generator(hamiltonian=hamiltonian, dephasing_rate=rate)
 
 
 def test_superoperator_shape_guard():
@@ -545,11 +564,11 @@ def test_damped_action_matches_commuting_closed_form_at_d64(generator, gamma, t)
     charge = np.subtract.outer(np.arange(d), np.arange(d))
     if generator == "number":
         s = 0.05  # 2 t ||H||_2 = 6.3 t: several substeps
-        got = damped_action(gamma, t, states, hamiltonian=s * number_operator(d))
+        got = damped_action(gamma, t, states, Generator(hamiltonian=s * number_operator(d)))
         factor = np.exp(-1j * t * s * charge)
     else:
         r = 0.3
-        got = damped_action(gamma, t, states, dephasing_rate=r)
+        got = damped_action(gamma, t, states, Generator(dephasing_rate=r))
         factor = np.exp(-t * r * charge**2 / 2)
     expected = commuting_closed_form(states, gamma, t, factor)
     for g, e in zip(got, expected):
@@ -557,25 +576,29 @@ def test_damped_action_matches_commuting_closed_form_at_d64(generator, gamma, t)
 
 
 def generator_parts(kind, d, scale, seed):
-    """``(H, dephasing rate, L)`` of one generator kind, ``L`` as a dense Superoperator."""
-    if kind == "dephasing":
-        return None, scale, Dephasing(rate=scale).to_superoperator(d)
-    if kind == "none":
-        return None, 0.0, Superoperator(matrix=np.zeros((d * d, d * d)))
-    if kind == "quadrature":
+    """``(Generator, L)`` of one generator kind, ``L`` as a dense Superoperator.
+
+    ``quadrature+dephasing`` is the quadrature ``H`` plus dephasing at the
+    same ``scale``, which only the damping kernel takes.
+    """
+    h, rate = None, 0.0
+    if kind.endswith("dephasing"):
+        rate = scale
+    if kind.startswith("quadrature"):
         a = annihilation(d)
         h = scale * (a + a.conj().T)
     elif kind == "number":
         h = scale * number_operator(d)
-    else:
+    elif kind == "random":
         h = random_hermitian(d, np.random.default_rng(seed), norm=scale)
-    return h, 0.0, HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
+    generator = Generator(hamiltonian=h, dephasing_rate=rate)
+    return generator, generator.superoperator(d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(min_value=2, max_value=12),
-    kind=st.sampled_from(["quadrature", "number", "random", "dephasing", "none"]),
+    kind=st.sampled_from(["quadrature", "number", "random", "dephasing", "quadrature+dephasing", "none"]),
     log_gamma=st.floats(min_value=math.log(0.01), max_value=math.log(4096)),
     t=st.floats(min_value=0.1, max_value=5.0),
     # scipy's expm returns NaN for a generator with entries near the
@@ -585,13 +608,13 @@ def generator_parts(kind, d, scale, seed):
 )
 def test_damped_action_matches_dense_oracle(d, kind, log_gamma, t, scale, seed):
     gamma = min(math.exp(log_gamma), 4096.0)
-    h, rate, l = generator_parts(kind, d, scale, seed)
+    generator, l = generator_parts(kind, d, scale, seed)
     k, p = attenuator_generator(d), vacuum_projection_superop(d)
     limit = effective_dynamics(p, l, t)
     states = damping_states(d, seed)
-    got = damped_action(gamma, t, states, hamiltonian=h, dephasing_rate=rate)
+    got = damped_action(gamma, t, states, generator)
     # each substep adds its own quadrature error, about 1e-13 at most
-    spread = 0.0 if h is None else 2 * t * np.linalg.norm(h, 2)
+    spread = 2 * t * np.linalg.norm(generator.hamiltonian_on(d), 2)
     steps = max(1 if t * gamma >= 1 else 3, math.ceil(spread / channels._SUBSTEP_SPREAD))
     # entries against scipy: at gamma t ~ 1e4 the dense matrix_exp itself
     # drifts by up to 5e-10 entrywise, while its error column stays within
@@ -625,12 +648,13 @@ def test_contour_points_are_pinned(monkeypatch):
 
 def test_damped_action_contract():
     states = damping_states(6, 1)
-    batch = damped_action(4.0, 0.5, states, hamiltonian=0.2 * number_operator(6), dephasing_rate=0.1)
+    generator = Generator(hamiltonian=0.2 * number_operator(6), dephasing_rate=0.1)
+    batch = damped_action(4.0, 0.5, states, generator)
     assert batch.shape == states.shape
     for x, y in zip(states, batch):
         assert np.array_equal(y, y.conj().T)  # Hermitian by construction
         assert abs(np.trace(y) - np.trace(x)) <= 1e-13  # trace preserving
-        alone = damped_action(4.0, 0.5, x[None], 0.2 * number_operator(6), 0.1)[0]
+        alone = damped_action(4.0, 0.5, x[None], generator)[0]
         assert np.abs(alone - y).max() <= 1e-14  # the batch changes only the summation order
     with pytest.raises(ValueError):
         damped_action(4.0, 0.5, states[0])  # a single matrix is not a batch
@@ -639,7 +663,7 @@ def test_damped_action_contract():
     with pytest.raises(ValueError):
         damped_action(-1.0, 0.5, states)
     with pytest.raises(ValueError):
-        damped_action(4.0, 0.5, states, hamiltonian=np.eye(5))
+        damped_action(4.0, 0.5, states, Generator(hamiltonian=np.eye(5)))
 
 
 @pytest.mark.parametrize("kind", ["quadrature", "random"])
@@ -649,12 +673,12 @@ def test_damped_action_krylov_solve_matches_dense_oracle(monkeypatch, kind, d, g
     # alone must reproduce the dense exponential, and map a zero state to 0
     monkeypatch.setattr(channels, "_ITERATIONS", 1)
     monkeypatch.setattr(channels, "_KRYLOV_LEVELS", 20)
-    h, _, l = generator_parts(kind, d, 2.0, d)
+    generator, l = generator_parts(kind, d, 2.0, d)
     states = np.concatenate([damping_states(d, d), np.zeros((1, d, d))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = damped_action(gamma, t, states, hamiltonian=h)
-    steps = channels.damping_substeps(gamma, t, np.linalg.norm(h, 2))
+        got = damped_action(gamma, t, states, generator)
+    steps = channels.damping_substeps(gamma, t, np.linalg.norm(generator.hamiltonian, 2))
     exact = scipy.linalg.expm(t * (gamma * attenuator_generator(d).matrix + l.matrix))
     for x, y in zip(states, got):
         assert trace_norm(y - devectorize(exact @ vectorize(x))) <= 1e-12 * steps
@@ -721,14 +745,15 @@ def damped_action_all_nodes(gamma, t, x, h, rate):
     return x
 
 
-def assert_matches_all_nodes(gamma, t, states, h, rate):
+def assert_matches_all_nodes(gamma, t, states, generator):
     # per state, in trace norm, to 1e-14 of the reference's own norm per
     # substep.  A node that leaves the batch keeps the solution on which it
     # settled, while the reference iterates it on: measured at most 1.9e-14
     # at 3 substeps (random H, gamma = 0.3), where both are 3e-14 to 5e-14
     # from scipy's expm
+    h, rate = generator.hamiltonian, generator.dephasing_rate
     steps = channels.damping_substeps(gamma, t, 0.0 if h is None else np.linalg.norm(h, 2))
-    got = damped_action(gamma, t, states, hamiltonian=h, dephasing_rate=rate)
+    got = damped_action(gamma, t, states, generator)
     for g, e in zip(got, damped_action_all_nodes(gamma, t, states, h, rate)):
         assert trace_norm(g - e) <= 1e-14 * steps * trace_norm(e)
 
@@ -739,8 +764,8 @@ def assert_matches_all_nodes(gamma, t, states, h, rate):
 def test_damped_action_matches_the_all_nodes_loop(kind, scale, d, gamma):
     # the node-leading buffers and the shrinking batch against the loop that
     # iterated every node to the end; quadrature at 1/d is the shipped H
-    h, rate, _ = generator_parts(kind, d, 1.0 / d if scale is None else scale, d)
-    assert_matches_all_nodes(gamma, 1.0, damping_states(d, d), h, rate)
+    generator, _ = generator_parts(kind, d, 1.0 / d if scale is None else scale, d)
+    assert_matches_all_nodes(gamma, 1.0, damping_states(d, d), generator)
 
 
 def test_damped_action_iterates_a_settled_node_inside_the_batch(monkeypatch):
@@ -749,7 +774,7 @@ def test_damped_action_iterates_a_settled_node_inside_the_batch(monkeypatch):
     # in the batch and iterates on; had it kept its first iterate, it would be
     # off by far more than 1e-14
     d, gamma, middle = 16, 2.0, 10
-    h, _, _ = generator_parts("random", d, 1.0, 5)
+    generator, _ = generator_parts("random", d, 1.0, 5)
     states = damping_states(d, 5)
     sizes, forced = [], []
 
@@ -762,7 +787,7 @@ def test_damped_action_iterates_a_settled_node_inside_the_batch(monkeypatch):
         return done
 
     monkeypatch.setattr(channels, "_settled", settled)
-    assert_matches_all_nodes(gamma, 1.0, states, h, 0.0)
+    assert_matches_all_nodes(gamma, 1.0, states, generator)
     assert forced == [(False, False)]  # a later node was unsettled when the middle one was made to settle
     assert sizes[0] == len(channels._contour(channels._CONTOUR_POINTS)[0])
     assert all(a >= b for a, b in zip(sizes, sizes[1:])) and sizes[-1] < sizes[0]
@@ -779,7 +804,7 @@ def test_damped_action_holds_at_most_six_batch_arrays(gamma):
     batch = 24 * len(states) * d * d * 16
     tracemalloc.start()
     try:
-        damped_action(gamma, 1.0, states, hamiltonian=(a + a.conj().T) / d)
+        damped_action(gamma, 1.0, states, Generator(hamiltonian=(a + a.conj().T) / d))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -827,11 +852,11 @@ def assert_matches_dense_zeno(got, states, cfg, n):
 )
 def test_zeno_action_matches_dense_reference(d, radius, angle, kind, scale, t, n, seed):
     eta = radius * complex(np.cos(angle), np.sin(angle))
-    h, rate, l = generator_parts(kind, d, scale, seed)
+    generator, l = generator_parts(kind, d, scale, seed)
     m = to_superoperator(attenuator_kraus(eta, d))
-    cfg = ZenoConfig(m=m, l=l, p=vacuum_projection_superop(d), t=t, n_grid=(n,), test_states=())
+    cfg = ZenoConfig(m=m, l=l, p=vacuum_projection_superop(d), t=t, test_states=())
     states = damping_states(d, seed)
-    assert_matches_dense_zeno(zeno_action(n, t, states, eta, hamiltonian=h, dephasing_rate=rate), states, cfg, n)
+    assert_matches_dense_zeno(zeno_action(n, t, states, eta, generator), states, cfg, n)
 
 
 def test_zeno_action_takes_every_step_when_m_is_not_mixing(monkeypatch):
@@ -839,21 +864,20 @@ def test_zeno_action_takes_every_step_when_m_is_not_mixing(monkeypatch):
     # validate(), but the iterate never settles, so no step may be skipped
     d = 6
     a = annihilation(d)
-    h = 0.3 * (a + a.conj().T)
+    generator = Generator(hamiltonian=0.3 * (a + a.conj().T))
     states = damping_states(d, 6)
     cfg = ZenoConfig(
         m=to_superoperator(attenuator_kraus(1j, d)),
-        l=HamiltonianCommutator(hamiltonian=h).to_superoperator(d),
+        l=generator.superoperator(d),
         p=vacuum_projection_superop(d),
         t=1.0,
-        n_grid=(8,),
         test_states=tuple(zip("abc", states)),
     )
     cfg.validate()
     calls = counted_attenuator_steps(monkeypatch)
     for n in (8, 64, 512):
         calls.clear()
-        got = zeno_action(n, 1.0, states, 1j, hamiltonian=h)
+        got = zeno_action(n, 1.0, states, 1j, generator)
         assert len(calls) == n
         assert_matches_dense_zeno(got, states, cfg, n)
 
@@ -868,10 +892,9 @@ def test_zeno_action_settles_on_the_d24_benchmark_within_100_steps(monkeypatch):
         .replace("specs = fock:1, coherent:0.8", "specs = fock:1, coherent:0.8, random:0")
     )
     cfg = parse_config_text(text)
-    h, rate = _generator_parts(cfg, cfg.dimension)
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
     calls = counted_attenuator_steps(monkeypatch)
-    zeno_action(4096, cfg.t, states, cfg.eta, hamiltonian=h, dephasing_rate=rate)
+    zeno_action(4096, cfg.t, states, cfg.eta, _generator(cfg, cfg.dimension))
     assert 0 < len(calls) <= 100
 
 
@@ -890,7 +913,7 @@ def test_zeno_action_matches_phase_covariant_closed_form_at_d64():
     states = damping_states(d, 64)
     rotated = states * np.exp(-1j * t * s * np.subtract.outer(np.arange(d), np.arange(d)))
     for n in 8 * 2 ** np.arange(10):
-        got = zeno_action(int(n), t, states, eta, hamiltonian=s * number_operator(d))
+        got = zeno_action(int(n), t, states, eta, Generator(hamiltonian=s * number_operator(d)))
         expected = attenuator_after(cmath.rect(abs(eta) ** n, n * cmath.phase(eta)), rotated)
         for g, e in zip(got, expected):
             assert trace_norm(g - e) <= 1e-12
@@ -901,24 +924,25 @@ def test_zeno_action_contract():
     states = damping_states(d, 2)
     a = annihilation(d)
     h = 0.2 * (a + a.conj().T)
-    batch = zeno_action(16, 0.5, states, 0.6, hamiltonian=h)
+    generator = Generator(hamiltonian=h)
+    batch = zeno_action(16, 0.5, states, 0.6, generator)
     assert batch.shape == states.shape
     for x, y in zip(states, batch):
         assert np.array_equal(y, y.conj().T)  # Hermitian by construction
-        alone = zeno_action(16, 0.5, x[None], 0.6, hamiltonian=h)[0]
+        alone = zeno_action(16, 0.5, x[None], 0.6, generator)[0]
         # the batch may stop later than a state alone, never before its bound
         assert trace_norm(alone - y) <= 1e-13
     # the superoperator of the same channel gives the same images
     m = to_superoperator(attenuator_kraus(0.6, d))
-    assert np.abs(zeno_action(16, 0.5, states, m, hamiltonian=h) - batch).max() <= 1e-14
+    assert np.abs(zeno_action(16, 0.5, states, m, generator) - batch).max() <= 1e-14
     for bad in (
         lambda: zeno_action(16, 0.5, states[0], 0.6),  # a single matrix is not a batch
         lambda: zeno_action(16, 0.5, states + 1j * np.eye(d), 0.6),  # not Hermitian
         lambda: zeno_action(0, 0.5, states, 0.6),
         lambda: zeno_action(16, 0.0, states, 0.6),
         lambda: zeno_action(16, 0.5, states, 1.2),
-        lambda: zeno_action(16, 0.5, states, 0.6, hamiltonian=np.eye(d + 1)),
-        lambda: zeno_action(16, 0.5, states, 0.6, hamiltonian=h, dephasing_rate=0.1),
+        lambda: zeno_action(16, 0.5, states, 0.6, Generator(hamiltonian=np.eye(d + 1))),
+        lambda: zeno_action(16, 0.5, states, 0.6, Generator(hamiltonian=h, dephasing_rate=0.1)),
         lambda: zeno_action(16, 0.5, states, to_superoperator(attenuator_kraus(0.6, d + 1))),
     ):
         with pytest.raises(ValueError):

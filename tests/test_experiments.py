@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from zenolab import channels, experiments, zeno
 from zenolab.channels import (
-    Dephasing,
-    HamiltonianCommutator,
+    Generator,
     Superoperator,
     apply,
     attenuator_deviation,
@@ -32,8 +31,7 @@ from zenolab.experiments import (
     ConfigError,
     InvariantViolation,
     PRESETS,
-    _build_generator,
-    _generator_parts,
+    _generator,
     build_states,
     emit_plot_script,
     generator_norm,
@@ -401,10 +399,8 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
         (channels, "to_superoperator"),
         (channels, "attenuator_generator"),
         (channels, "vacuum_projection_superop"),
-        (HamiltonianCommutator, "to_superoperator"),
-        (Dephasing, "to_superoperator"),
+        (Generator, "superoperator"),
         (experiments, "effective_dynamics"),
-        (experiments, "_build_generator"),
     ):
         monkeypatch.setattr(owner, name, refuse)
     d = 16
@@ -452,7 +448,7 @@ def test_damping_with_a_dense_hamiltonian_at_d64_matches_expm():
     cfg = parse_config_text(text)
     (row,) = run_experiment(cfg)
     (_, x), = build_states(cfg, d)
-    h, _ = _generator_parts(cfg, d)
+    h = _generator(cfg, d).hamiltonian
     a, eye = sp.csr_matrix(annihilation(d)), sp.identity(d, format="csr")
     n = a.T @ a
     k = 2 * sp.kron(a, a) - sp.kron(n, eye) - sp.kron(eye, n)
@@ -532,7 +528,7 @@ def test_damping_substeps_are_bounded_at_parse_time(monkeypatch, old, new, field
     def refuse(*args, **kwargs):
         raise AssertionError("the parser built the Hamiltonian")
 
-    monkeypatch.setattr(experiments, "_generator_parts", refuse)
+    monkeypatch.setattr(experiments, "_generator", refuse)
     text = MINI_ZENO.replace("kind = zeno", "kind = damping").replace(old, new)
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
@@ -551,7 +547,7 @@ def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
         .replace("fock:1, coherent:0.5", "fock:1")
     )
     cfg = parse_config_text(text)
-    h, _ = _generator_parts(cfg, d)
+    h = _generator(cfg, d).hamiltonian
     taken = sum(channels.damping_substeps(gamma, cfg.t, np.linalg.norm(h, 2)) for gamma in cfg.grid())
     monkeypatch.setattr(experiments, "_SUBSTEP_BUDGET", taken - 1)
     with pytest.raises(ConfigError) as err:
@@ -572,10 +568,10 @@ def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):
         return apply_once(products, x)
 
     monkeypatch.setattr(channels, "_attenuator_apply", counted)
-    h, rate = _generator_parts(cfg, cfg.dimension)
+    generator = _generator(cfg, cfg.dimension)
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
     for n in cfg.grid():
-        zeno_action(n, cfg.t, states, cfg.eta, hamiltonian=h, dephasing_rate=rate)
+        zeno_action(n, cfg.t, states, cfg.eta, generator)
     assert len(steps) == sum(cfg.grid())
     monkeypatch.setattr(experiments, "_STEP_BUDGET", len(steps) - 1)
     with pytest.raises(ConfigError) as err:
@@ -743,16 +739,16 @@ def _complex_path_errors(cfg):
         else:
             dim = cfg.system_dim
             m, p, _ = random_gapped_channel(dim, stream(cfg.seed, experiments._STREAM_CHANNEL), cfg.gapped_delta)
-        l = _build_generator(cfg, dim)
+        l = _generator(cfg, dim).superoperator(dim)
         states = build_states(cfg, dim)
-        engine = ZenoConfig(m=m, l=l, p=p, t=cfg.t, n_grid=cfg.grid(), test_states=states)
+        engine = ZenoConfig(m=m, l=l, p=p, t=cfg.t, test_states=states)
 
         def evolve(n, rho):
             return zeno_product(engine, n, rho)
 
     else:
         dim = cfg.dimension
-        l = _build_generator(cfg, dim)
+        l = _generator(cfg, dim).superoperator(dim)
         p = vacuum_projection_superop(dim)
         states = build_states(cfg, dim)
         k = attenuator_generator(dim)
@@ -780,10 +776,10 @@ def test_real_runners_agree_with_complex_engine(case):
 
 def test_runner_rejects_generator_that_breaks_hermiticity(monkeypatch):
     # the gapped zeno channel is the run that still builds L as a matrix
-    def skewed(cfg, dim):
-        return Superoperator(matrix=random_operator(dim * dim, stream(cfg.seed, 99), norm=0.1))
+    def skewed(generator, dim):
+        return Superoperator(matrix=random_operator(dim * dim, stream(424242, 99), norm=0.1))
 
-    monkeypatch.setattr(experiments, "_build_generator", skewed)
+    monkeypatch.setattr(Generator, "superoperator", skewed)
     with pytest.raises(InvariantViolation, match="L: map is not Hermiticity-preserving"):
         run_experiment(preset_config("uniform-zeno"))
 
@@ -837,9 +833,10 @@ def test_generator_norm_is_exact(d, kind, scale, seed):
     )
     cfg = parse_config_text(text)
     norm = generator_norm(cfg)
-    l = _build_generator(cfg, d)
+    generator = _generator(cfg, d)
+    l = generator.superoperator(d)
     assert _probe_loop(l) <= norm * (1 + 1e-12)
-    h, _ = _generator_parts(cfg, d)
+    h = generator.hamiltonian
     _, vectors = np.linalg.eigh(number_operator(d) if h is None else h)
     unit = np.outer(vectors[:, -1], vectors[:, 0].conj())
     assert abs(trace_norm(apply(l, unit)) - norm) <= 1e-12 * max(norm, 1.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenolab.channels import (
-    HamiltonianCommutator,
+    Generator,
     Superoperator,
     attenuator_generator,
     attenuator_kraus,
@@ -216,10 +216,10 @@ def test_zeno_product_matches_the_iterated_product_on_an_attenuator_step():
     d, n = 12, 4096
     m = to_superoperator(attenuator_kraus(0.5, d))
     a = annihilation(d)
-    l = HamiltonianCommutator(hamiltonian=(a + a.conj().T) / d).to_superoperator(d)
+    l = Generator(hamiltonian=(a + a.conj().T) / d).superoperator(d)
     rho = coherent_vector(0.6, d).projector()
     cfg = ZenoConfig(
-        m=m, l=l, p=vacuum_projection_superop(d), t=1.0, n_grid=(n,), test_states=(("coherent:0.6", rho),)
+        m=m, l=l, p=vacuum_projection_superop(d), t=1.0, test_states=(("coherent:0.6", rho),)
     )
     assert trace_norm(zeno_product(cfg, n, rho) - zeno_product_iterated(cfg, n, rho)) <= 1e-12
 
@@ -229,7 +229,7 @@ def test_matrix_exp_matches_scipy_on_a_stiff_damping_generator():
     # strong-damping step
     d = 12
     a = annihilation(d)
-    l = HamiltonianCommutator(hamiltonian=(a + a.conj().T) / d).to_superoperator(d)
+    l = Generator(hamiltonian=(a + a.conj().T) / d).superoperator(d)
     stiff = 2048.0 * attenuator_generator(d).matrix + l.matrix
     ref = scipy.linalg.expm(stiff)
     assert np.linalg.norm(matrix_exp(stiff) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -266,7 +266,7 @@ def test_matrix_exp_matches_extended_precision_reference_on_stiff_generators():
     # (gamma=2048, 18 squarings) and 7.1e-13 (gamma=128)
     d = 12
     a = annihilation(d)
-    l = HamiltonianCommutator(hamiltonian=(a + a.conj().T) / d).to_superoperator(d).matrix
+    l = Generator(hamiltonian=(a + a.conj().T) / d).superoperator(d).matrix
     k = attenuator_generator(d).matrix
     for gamma in (2048.0, 128.0):
         stiff = gamma * k + l

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zenolab.channels import (
-    HamiltonianCommutator,
+    Generator,
     Superoperator,
     apply,
     attenuator_deviation,
@@ -42,15 +42,15 @@ def quadrature_hamiltonian(dim):
 
 
 def quadrature_generator(dim):
-    return HamiltonianCommutator(hamiltonian=quadrature_hamiltonian(dim)).to_superoperator(dim)
+    return Generator(hamiltonian=quadrature_hamiltonian(dim)).superoperator(dim)
 
 
-def attenuator_zeno_config(dim=8, eta=0.5, t=1.0, grid=(8, 16, 32, 64)):
+def attenuator_zeno_config(dim=8, eta=0.5, t=1.0):
     m = to_superoperator(attenuator_kraus(eta, dim))
     p = vacuum_projection_superop(dim)
     l = quadrature_generator(dim)
     states = (("fock:1", fock_projector(1, dim)), ("coherent:0.6", coherent_vector(0.6, dim).projector()))
-    return ZenoConfig(m=m, l=l, p=p, t=t, n_grid=grid, test_states=states)
+    return ZenoConfig(m=m, l=l, p=p, t=t, test_states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_zeno_product_without_perturbation_is_power():
     cfg = attenuator_zeno_config()
     d = cfg.m.dim
     zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
-    cfg0 = ZenoConfig(m=cfg.m, l=zero, p=cfg.p, t=1.0, n_grid=cfg.n_grid, test_states=cfg.test_states)
+    cfg0 = ZenoConfig(m=cfg.m, l=zero, p=cfg.p, t=1.0, test_states=cfg.test_states)
     rho = fock_projector(1, d)
     out = zeno_product(cfg0, 6, rho)
     direct = devectorize(np.linalg.matrix_power(cfg.m.matrix, 6) @ vectorize(rho))
@@ -72,7 +72,7 @@ def test_zeno_product_identity_mixing_collapses_to_semigroup():
     d = 6
     ident = identity_superoperator(d)
     l = quadrature_generator(d)
-    cfg = ZenoConfig(m=ident, l=l, p=ident, t=0.7, n_grid=(4,), test_states=())
+    cfg = ZenoConfig(m=ident, l=l, p=ident, t=0.7, test_states=())
     rho = fock_projector(2, d)
     out = zeno_product(cfg, 9, rho)
     direct = devectorize(matrix_exp(0.7 * l.matrix) @ vectorize(rho))
@@ -148,18 +148,18 @@ def test_zeno_error_vanishes_for_pure_projection():
     d = 4
     p = vacuum_projection_superop(d)
     zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
-    cfg = ZenoConfig(m=p, l=zero, p=p, t=1.0, n_grid=(2,), test_states=())
+    cfg = ZenoConfig(m=p, l=zero, p=p, t=1.0, test_states=())
     rho = fock_projector(1, d)
     error = trace_norm(zeno_product(cfg, 5, rho) - apply(effective_dynamics(p, zero, 1.0), rho))
     assert error <= 1e-13
 
 
 def test_zeno_error_monotone_on_quadrature_instance():
-    cfg = attenuator_zeno_config(dim=8, grid=(8, 16, 32, 64, 128))
+    cfg = attenuator_zeno_config(dim=8)
     cfg.validate()
     eff = effective_dynamics(cfg.p, cfg.l, cfg.t)
     rho = fock_projector(1, 8)
-    errs = [trace_norm(zeno_product(cfg, n, rho) - apply(eff, rho)) for n in cfg.n_grid]
+    errs = [trace_norm(zeno_product(cfg, n, rho) - apply(eff, rho)) for n in (8, 16, 32, 64, 128)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
@@ -169,7 +169,7 @@ def test_zeno_error_with_zero_l_equals_mixing_error():
     p = vacuum_projection_superop(d)
     zero = Superoperator(matrix=np.zeros((d * d, d * d), dtype=complex))
     rho = fock_projector(1, d)
-    cfg = ZenoConfig(m=m, l=zero, p=p, t=1.0, n_grid=(1, 2, 4, 8), test_states=())
+    cfg = ZenoConfig(m=m, l=zero, p=p, t=1.0, test_states=())
     eff = effective_dynamics(p, zero, 1.0)
     for n in (1, 2, 4, 8):
         error = trace_norm(zeno_product(cfg, n, rho) - apply(eff, rho))
@@ -242,7 +242,7 @@ def test_config_validation_catches_bad_projection():
     d = 4
     m = to_superoperator(attenuator_kraus(0.5, d))
     bad_p = identity_superoperator(d)  # not the fixed-point projection of M
-    cfg = ZenoConfig(m=m, l=bad_p, p=bad_p, t=1.0, n_grid=(2,), test_states=())
+    cfg = ZenoConfig(m=m, l=bad_p, p=bad_p, t=1.0, test_states=())
     with pytest.raises(ValueError):
         cfg.validate()
 
@@ -252,7 +252,7 @@ def test_config_validation_catches_expansion():
     expanding = Superoperator(matrix=2.0 * np.eye(d * d, dtype=complex))
     p = vacuum_projection_superop(d)
     cfg = ZenoConfig(
-        m=expanding, l=p, p=p, t=1.0, n_grid=(2,),
+        m=expanding, l=p, p=p, t=1.0,
         test_states=(("fock:1", fock_projector(1, d)),),
     )
     with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ def test_attenuator_chain_states_collapse():
     # is the dense ||(M^N - P) y||_1, nonincreasing in N
     d, eta, t = 8, 0.5, 1.0
     h = quadrature_hamiltonian(d)
-    l = HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
+    l = Generator(hamiltonian=h).superoperator(d)
     p = vacuum_projection_superop(d)
     m = to_superoperator(attenuator_kraus(eta, d))
     x = coherent_vector(0.7, d).projector()
@@ -350,9 +350,9 @@ def test_zeno_error_dominated_by_ssup_pipeline():
     m = to_superoperator(attenuator_kraus(eta, d))
     p = vacuum_projection_superop(d)
     h = quadrature_hamiltonian(d)
-    l = HamiltonianCommutator(hamiltonian=h).to_superoperator(d)
+    l = Generator(hamiltonian=h).superoperator(d)
     rho = fock_projector(1, d)
-    cfg = ZenoConfig(m=m, l=l, p=p, t=t, n_grid=(8, 16), test_states=())
+    cfg = ZenoConfig(m=m, l=l, p=p, t=t, test_states=())
     limit = apply(effective_dynamics(p, l, t), rho)
 
     l_max = 6
