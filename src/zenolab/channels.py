@@ -215,7 +215,8 @@ def _attenuator_plan(eta: complex, d: int) -> tuple:
     mf, ef, ms, es_in, es_out = _binary_levels(d)
     phase = np.full(d, eta / abs(eta) if eta else 1.0, dtype=np.complex128)
     phase[0] = 1.0
-    tables = (ms, es_in, es_out, *_binary_powers(abs(eta), 3 * d), np.cumprod(phase))
+    # |eta| an ulp past 1 counts as 1: its powers would move the trace by k ulp at level k
+    tables = (ms, es_in, es_out, *_binary_powers(min(abs(eta), 1.0), 3 * d), np.cumprod(phase))
     # c_l on the factorials of s_l, so that c_l s_l^2 is (1-|eta|^2)^l to a few ulp
     mc, ec = _binary_powers(1.0 - keep, d)
     mc, ec = _binary(mc / mf, ec - ef)

@@ -77,7 +77,7 @@ KINDS = ("mixing", "zeno", "damping", "binomial", "simplex")
 # Kinds whose grid points are rounded to integer n.
 _ROUNDED_KINDS = ("mixing", "zeno", "binomial", "simplex")
 
-# Philox stream indices; states get 1000 + index.
+# Philox stream indices, each < 2^64; state i gets 1000 + i, so i >= 0 keeps it off these three.
 _STREAM_CHANNEL = 1
 _STREAM_GENERATOR = 2
 _STREAM_BINOMIAL = 3
@@ -124,27 +124,29 @@ class InvariantViolation(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; :data:`_KEYS` holds each field's key, default and range check."""
+
     kind: str
     experiment_id: str
-    seed: int = 0
-    dimension: int = 24
-    t: float = 1.0
-    eta: complex = 0.5
-    channel_type: str = "attenuator"  # attenuator | gapped
-    gapped_delta: float = 0.5
-    system_dim: int = 2
-    generator_type: str = "hamiltonian"  # hamiltonian | dephasing | none
-    hamiltonian_kind: str = "quadrature"  # quadrature | number | random
-    generator_scale: float | None = None
-    dephasing_rate: float = 0.1
-    binomial_mode: str = "exp-limit"  # exp-limit | gapped
-    k_max: int = 8
-    grid_start: float = 8.0
-    grid_factor: float = 2.0
-    grid_count: int = 10
-    state_specs: tuple = ("fock:1",)
-    tail_budget: float = 1e-12
-    output_path: str | None = None
+    seed: int
+    dimension: int
+    t: float
+    eta: complex
+    channel_type: str
+    gapped_delta: float
+    system_dim: int
+    generator_type: str
+    hamiltonian_kind: str
+    generator_scale: float | None
+    dephasing_rate: float
+    binomial_mode: str
+    k_max: int
+    grid_start: float
+    grid_factor: float
+    grid_count: int
+    state_specs: tuple
+    tail_budget: float
+    output_path: str | None
 
     def grid(self) -> list:
         """``start * factor^j`` for ``j < count``, rounded to integers for ``_ROUNDED_KINDS``."""
@@ -173,19 +175,46 @@ class ReportRow:
             raise ValueError("bound must be nonnegative when present")
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"{section}.{key}", "missing required key")
-        return default
-    raw = parser.get(section, key)
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}: {exc}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}", f"must be finite, got {raw!r}")
-    return value
+def _specs(raw: str) -> tuple:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+_REQUIRED = object()
+
+# Every config key, once: (section, key, field, cast, default, rule, message).
+# A present value is cast, refused if a non-finite float, and refused with
+# ``message.format(v=value)`` unless ``rule(value)``.  The rules that read
+# several keys, ``eta`` from its parts and the keys that default to another
+# key's value (``None`` here: id, binomial.system_dim) follow the loop.
+_KEYS = (
+    ("experiment", "kind", "kind", str, _REQUIRED, lambda v: v in KINDS, f"must be one of {KINDS}, got {{v!r}}"),
+    ("experiment", "id", "experiment_id", str, None, None, None),
+    ("experiment", "seed", "seed", int, 0, None, None),
+    ("experiment", "dimension", "dimension", int, 24, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("experiment", "t", "t", float, 1.0, lambda v: v > 0, "must be positive, got {v}"),
+    ("channel", "eta_re", "eta_re", float, 0.5, None, None),
+    ("channel", "eta_im", "eta_im", float, 0.0, None, None),
+    ("channel", "type", "channel_type", str, "attenuator",
+     lambda v: v in ("attenuator", "gapped"), "must be attenuator or gapped, got {v!r}"),
+    ("channel", "delta", "gapped_delta", float, 0.5, lambda v: 0 < v < 1, "must lie in (0, 1), got {v}"),
+    ("channel", "system_dim", "system_dim", int, 2, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("generator", "type", "generator_type", str, "hamiltonian",
+     lambda v: v in ("hamiltonian", "dephasing", "none"), "unknown generator type {v!r}"),
+    ("generator", "hamiltonian", "hamiltonian_kind", str, "quadrature",
+     lambda v: v in ("quadrature", "number", "random"), "unknown hamiltonian {v!r}"),
+    ("generator", "scale", "generator_scale", float, None, None, None),
+    ("generator", "rate", "dephasing_rate", float, 0.1, lambda v: v >= 0, "must be nonnegative"),
+    ("binomial", "mode", "binomial_mode", str, "exp-limit", lambda v: v in ("exp-limit", "gapped"), "unknown mode {v!r}"),
+    ("binomial", "system_dim", "binomial_system_dim", int, None, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("simplex", "k_max", "k_max", int, 8, lambda v: 1 <= v <= 16, "must lie in [1, 16], got {v}"),
+    ("grid", "start", "grid_start", float, 8.0, lambda v: v >= 1, "must be >= 1, got {v}"),
+    ("grid", "factor", "grid_factor", float, 2.0, None, None),
+    ("grid", "count", "grid_count", int, 10,
+     lambda v: 1 <= v <= _GRID_POINTS, f"must lie in [1, {_GRID_POINTS}], got {{v}}"),
+    ("states", "specs", "state_specs", _specs, ("fock:1",), lambda v: v, "must list at least one state"),
+    ("tolerances", "tail_mass", "tail_budget", float, 1e-12, lambda v: v > 0, "must be positive"),
+    ("output", "path", "output_path", str, None, None, None),
+)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -196,98 +225,42 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("config", f"malformed file: {exc}") from exc
     if not parser.has_section("experiment"):
         raise ConfigError("experiment", "missing [experiment] section")
+    known = {(section, key) for section, key, *_ in _KEYS}
+    unknown = [f"{s}.{k}" for s in parser.sections() for k in parser.options(s) if (s, k) not in known]
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
 
-    kind = _get(parser, "experiment", "kind", str, required=True)
-    if kind not in KINDS:
-        raise ConfigError("experiment.kind", f"must be one of {KINDS}, got {kind!r}")
-    exp_id = _get(parser, "experiment", "id", str, default=kind)
-    seed = _get(parser, "experiment", "seed", int, default=0)
-    dimension = _get(parser, "experiment", "dimension", int, default=24)
-    if dimension < 2:
-        raise ConfigError("experiment.dimension", f"must be >= 2, got {dimension}")
-    t = _get(parser, "experiment", "t", float, default=1.0)
-    if t <= 0:
-        raise ConfigError("experiment.t", f"must be positive, got {t}")
+    values = {}
+    for section, key, field, cast, default, rule, message in _KEYS:
+        name = f"{section}.{key}"
+        if not parser.has_option(section, key):
+            if default is _REQUIRED:
+                raise ConfigError(name, "missing required key")
+            values[field] = default
+            continue
+        raw = parser.get(section, key)
+        try:
+            value = cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {raw!r}")
+        if rule is not None and not rule(value):
+            raise ConfigError(name, message.format(v=value))
+        values[field] = value
 
-    eta_re = _get(parser, "channel", "eta_re", float, default=0.5)
-    eta_im = _get(parser, "channel", "eta_im", float, default=0.0)
-    eta = complex(eta_re, eta_im)
+    if values["experiment_id"] is None:
+        values["experiment_id"] = values["kind"]
+    eta = values["eta"] = complex(values.pop("eta_re"), values.pop("eta_im"))
     if abs(eta) > 1:
         raise ConfigError("channel.eta_re", f"|eta| must be <= 1, got {abs(eta):.6f}")
-    channel_type = _get(parser, "channel", "type", str, default="attenuator")
-    if channel_type not in ("attenuator", "gapped"):
-        raise ConfigError("channel.type", f"must be attenuator or gapped, got {channel_type!r}")
-    gapped_delta = _get(parser, "channel", "delta", float, default=0.5)
-    if not 0 < gapped_delta < 1:
-        raise ConfigError("channel.delta", f"must lie in (0, 1), got {gapped_delta}")
-    system_dim = _get(parser, "channel", "system_dim", int, default=2)
-    if system_dim < 2:
-        raise ConfigError("channel.system_dim", f"must be >= 2, got {system_dim}")
+    binomial_dim = values.pop("binomial_system_dim")
+    if values["kind"] == "binomial" and binomial_dim is not None:
+        values["system_dim"] = binomial_dim
+    if values["grid_count"] > 1 and values["grid_factor"] <= 1:
+        raise ConfigError("grid.factor", f"must be > 1 for an increasing grid, got {values['grid_factor']}")
 
-    generator_type = _get(parser, "generator", "type", str, default="hamiltonian")
-    if generator_type not in ("hamiltonian", "dephasing", "none"):
-        raise ConfigError("generator.type", f"unknown generator type {generator_type!r}")
-    hamiltonian_kind = _get(parser, "generator", "hamiltonian", str, default="quadrature")
-    if hamiltonian_kind not in ("quadrature", "number", "random"):
-        raise ConfigError("generator.hamiltonian", f"unknown hamiltonian {hamiltonian_kind!r}")
-    generator_scale = _get(parser, "generator", "scale", float, default=None)
-    dephasing_rate = _get(parser, "generator", "rate", float, default=0.1)
-    if dephasing_rate < 0:
-        raise ConfigError("generator.rate", "must be nonnegative")
-
-    binomial_mode = _get(parser, "binomial", "mode", str, default="exp-limit")
-    if binomial_mode not in ("exp-limit", "gapped"):
-        raise ConfigError("binomial.mode", f"unknown mode {binomial_mode!r}")
-    bin_system_dim = _get(parser, "binomial", "system_dim", int, default=system_dim)
-    if bin_system_dim < 2:
-        raise ConfigError("binomial.system_dim", f"must be >= 2, got {bin_system_dim}")
-    k_max = _get(parser, "simplex", "k_max", int, default=8)
-    if not 1 <= k_max <= 16:
-        raise ConfigError("simplex.k_max", f"must lie in [1, 16], got {k_max}")
-
-    grid_start = _get(parser, "grid", "start", float, default=8.0)
-    grid_factor = _get(parser, "grid", "factor", float, default=2.0)
-    grid_count = _get(parser, "grid", "count", int, default=10)
-    if grid_start < 1:
-        raise ConfigError("grid.start", f"must be >= 1, got {grid_start}")
-    if not 1 <= grid_count <= _GRID_POINTS:
-        raise ConfigError("grid.count", f"must lie in [1, {_GRID_POINTS}], got {grid_count}")
-    if grid_count > 1 and grid_factor <= 1:
-        raise ConfigError("grid.factor", f"must be > 1 for an increasing grid, got {grid_factor}")
-
-    specs_raw = _get(parser, "states", "specs", str, default="fock:1")
-    specs = tuple(s.strip() for s in specs_raw.split(",") if s.strip())
-    if not specs:
-        raise ConfigError("states.specs", "must list at least one state")
-
-    tail_budget = _get(parser, "tolerances", "tail_mass", float, default=1e-12)
-    if tail_budget <= 0:
-        raise ConfigError("tolerances.tail_mass", "must be positive")
-    output_path = _get(parser, "output", "path", str, default=None)
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        experiment_id=exp_id,
-        seed=seed,
-        dimension=dimension,
-        t=t,
-        eta=eta,
-        channel_type=channel_type,
-        gapped_delta=gapped_delta,
-        system_dim=bin_system_dim if kind == "binomial" else system_dim,
-        generator_type=generator_type,
-        hamiltonian_kind=hamiltonian_kind,
-        generator_scale=generator_scale,
-        dephasing_rate=dephasing_rate,
-        binomial_mode=binomial_mode,
-        k_max=k_max,
-        grid_start=grid_start,
-        grid_factor=grid_factor,
-        grid_count=grid_count,
-        state_specs=specs,
-        tail_budget=tail_budget,
-        output_path=output_path,
-    )
+    cfg = ExperimentConfig(**values)
     _check_grid(cfg)
     _check_work(cfg)
     _check_size(cfg)
@@ -408,8 +381,13 @@ def build_states(cfg: ExperimentConfig, dim: int) -> list:
         elif name == "coherent":
             try:
                 alpha = complex(value)
+                finite = math.isfinite(abs(alpha) ** 2)
+            except OverflowError:
+                finite = False
             except ValueError as exc:
                 raise ConfigError("states.specs", f"bad coherent amplitude in {spec!r}") from exc
+            if not finite:
+                raise ConfigError("states.specs", f"coherent amplitude in {spec!r} needs a finite z and |z|^2")
             vec = coherent_vector(alpha, dim)
             if vec.tail_mass > cfg.tail_budget:
                 raise InvariantViolation(
@@ -423,8 +401,9 @@ def build_states(cfg: ExperimentConfig, dim: int) -> list:
                 offset = int(value)
             except ValueError as exc:
                 raise ConfigError("states.specs", f"bad random index in {spec!r}") from exc
-            rng = stream(cfg.seed, _STATE_STREAM_BASE + offset)
-            states.append((spec, random_density_matrix(dim, rng)))
+            if not 0 <= offset < 2**64 - _STATE_STREAM_BASE:
+                raise ConfigError("states.specs", f"random index {offset} outside [0, 2^64 - {_STATE_STREAM_BASE + 1}] in {spec!r}")
+            states.append((spec, random_density_matrix(dim, stream(cfg.seed, _STATE_STREAM_BASE + offset))))
         else:
             raise ConfigError("states.specs", f"unknown state kind {name!r} in {spec!r}")
     return states

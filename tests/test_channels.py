@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenolab import channels
@@ -248,6 +248,8 @@ def test_attenuator_plan_keeps_its_scales_in_range_at_d2000(eta):
     angle2=angles,
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# |eta mu| rounds an ulp above 1 here; the kernel takes it as 1 and keeps the trace
+@example(d=141, radius=1.0, angle=2.920121116515129, radius2=1.0, angle2=2.920121116515129, seed=0)
 def test_attenuator_kernel_keeps_the_semigroup_law_the_trace_and_hermiticity(d, radius, angle, radius2, angle2, seed):
     # Phi_eta Phi_mu = Phi_{eta mu} and Tr Phi(x) = Tr x, across the one-block
     # and two-block plans; the image is Hermitian entry for entry.  eta mu is

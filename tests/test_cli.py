@@ -82,6 +82,15 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
     assert "tail_mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["coherent:1e200", "random:-999"])
+def test_bad_state_spec_exits_2(tmp_path, capsys, spec):
+    bad = tmp_path / "spec.ini"
+    bad.write_text(GOOD.replace("random:0", spec))
+    assert main(["--out", str(tmp_path), "run", str(bad)]) == 2
+    assert "config error: states.specs:" in capsys.readouterr().err
+    assert not (tmp_path / "cli-mixing.csv").exists()
+
+
 def test_unknown_config_exit_code(tmp_path):
     assert main(["--out", str(tmp_path), "run", "no-such-preset"]) == 2
 

@@ -1,4 +1,5 @@
 import cmath
+import configparser
 import math
 import os
 import subprocess
@@ -225,6 +226,41 @@ def test_parse_rejects_negative_dimension():
     assert err.value.field == "experiment.dimension"
 
 
+@pytest.mark.parametrize(
+    "section, key, cast",
+    [pytest.param(s, k, cast, id=f"{s}.{k}") for s, k, _, cast, _, rule, _ in experiments._KEYS if cast is not str or rule],
+)
+def test_each_config_key_names_itself_when_its_value_is_refused(section, key, cast):
+    # an unparsable value, or nan for a float, fails with the key's own field;
+    # a string key with a rule refuses ",", and experiment.id and output.path
+    # take any string
+    bad = {int: ["x", "2.5"], float: ["x", "nan"]}.get(cast, [","])
+    for value in bad:
+        sections = {"experiment": {"kind": "simplex"}}
+        sections.setdefault(section, {})[key] = value
+        text = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == f"{section}.{key}"
+
+
+def test_readme_config_grammar_lists_every_key_and_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config_text(block)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    parser.read_string(block)
+    listed = {(section, key) for section in parser.sections() for key in parser.options(section)}
+    assert listed == {(section, key) for section, key, *_ in experiments._KEYS}
+
+
+def test_parse_refuses_an_unknown_key():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINI_ZENO.replace("count = 5", "cuont = 3"))
+    assert err.value.field == "grid.cuont"
+    assert str(err.value) == "grid.cuont: unknown key"
+
+
 # Every section and key the parser reads, each with values it accepts.
 CONFIG_KEYS = {
     "experiment": {
@@ -285,6 +321,26 @@ def test_build_states_fock_out_of_range():
     with pytest.raises(ConfigError) as err:
         build_states(cfg, cfg.dimension)
     assert err.value.field == "states.specs"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["coherent:nan", "coherent:inf", "coherent:1e200", "coherent:1e308+1e308j",
+     "random:-999", "random:-2000", f"random:{2**64 - 1000}", "random:99999999999999999999999"],
+)
+def test_build_states_refuses_non_finite_amplitudes_and_indices_off_the_state_streams(spec):
+    # random:i draws from Philox stream 1000 + i: i = -999 would share the
+    # channel's stream, and 1000 + i must fit in 64 bits
+    cfg = parse_config_text(MINI_MIXING.replace("random:0", spec))
+    with pytest.raises(ConfigError) as err:
+        build_states(cfg, cfg.dimension)
+    assert err.value.field == "states.specs"
+
+
+def test_build_states_accepts_the_last_state_stream():
+    cfg = parse_config_text(MINI_MIXING.replace("random:0", f"random:{2**64 - 1001}"))
+    (_, _), (_, rho) = build_states(cfg, cfg.dimension)
+    assert abs(np.trace(rho) - 1) < 1e-12
 
 
 def test_build_states_tail_budget_violation():
