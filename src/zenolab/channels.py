@@ -452,11 +452,12 @@ _CONTOUR_POINTS = 48
 # Most imaginary spread 2 t ||H||_2 of the spectrum of one substep.
 _SUBSTEP_SPREAD = 2.0
 # Stopping rule of damped_action's solves at each node, the cap of its
-# fixed-point iteration, and that of its Krylov solves less _KRYLOV_LEVELS d.
+# fixed-point iteration, and the most times it halves its substeps (a random
+# H of norm 1 at gamma = 8 needed 6 at d = 128 and d = 192, 4 at d = 96).
 _RESIDUAL = 1e-15
 _RESIDUAL_FLOOR = 1e-13
 _ITERATIONS = 40
-_KRYLOV_LEVELS = 2
+_HALVINGS = 8
 
 
 def _contour(points: int) -> tuple:
@@ -470,18 +471,6 @@ def _contour(points: int) -> tuple:
 def _settled(error, previous) -> np.ndarray:
     """Nodes whose weighted residual meets ``_RESIDUAL``, or stops falling at most ``_RESIDUAL_FLOOR`` (its rounding floor)."""
     return (error <= _RESIDUAL) | ((error > previous / 2) & (error <= _RESIDUAL_FLOOR))
-
-
-def damping_arrays(d: int) -> float:
-    """The most complex ``d x d`` arrays per state, plus one, that :func:`damped_action` holds.
-
-    At the cap every node keeps its Krylov basis and its Hessenberg columns,
-    ``cap + cap^2 / (2 d^2)`` arrays, and the triangular solves of settled
-    nodes briefly take ``cap^2 / d^2`` more.  Runs to the cap at d = 8 to 32
-    with 1 to 8 states peaked below ``cap + cap^2 / (2 d^2)`` (tracemalloc).
-    """
-    cap = _ITERATIONS + _KRYLOV_LEVELS * d
-    return _CONTOUR_POINTS // 2 * (cap + 2 * cap**2 / d**2 + 12)
 
 
 def damping_substeps(gamma: float, t: float, norm: float) -> float:
@@ -524,19 +513,25 @@ def damped_action(gamma: float, t: float, ops, generator: Generator = Generator(
     how far the residual moves ``Y_k``.  A node is settled once that weighted
     residual, relative to each state's Frobenius norm, meets ``_RESIDUAL`` or
     stops falling at most ``_RESIDUAL_FLOOR`` (its rounding floor, 1e-14 to
-    3e-14 at the heaviest nodes).  Once an unsettled node stops contracting,
-    the iteration ends: at the far nodes ``(z_k - T)^{-1} B`` can have a
-    spectral radius above 1 (a dense ``H`` at ``t gamma`` near 1 to 2 and
-    ``d >= 48``).  GMRES, right-preconditioned by the back-substitution,
-    then solves the unsettled nodes from scratch: its residual never grows,
-    and it needs up to about ``2 d`` iterations at the far nodes where the
-    iteration diverges (74 at d = 48, 102 at d = 64 and 169 at d = 96).
-    Nodes leave its batch once half of them are settled; past
-    ``_ITERATIONS + _KRYLOV_LEVELS d`` iterations it raises ``ValueError``.
-    Each iteration costs ``O(S d^3)`` per node, and the bases hold at most
-    :func:`damping_arrays` ``(d, d)`` arrays per state.
+    3e-14 at the heaviest nodes).  Each iteration costs ``O(S d^3)`` per node.
 
-    ``t`` is split into equal substeps (:func:`damping_substeps`):
+    The iteration does not settle when an unsettled node's weighted residual
+    fails to halve, or when ``_ITERATIONS`` pass first: at the far nodes
+    ``(z_k - T)^{-1} B`` can have a spectral radius above 1 (a dense ``H``
+    at ``t gamma`` near 1 to 2 and ``d >= 48``).  That substep and every
+    substep still pending are then run as twice as many of half the length;
+    ``A`` does not depend on time, so they may run in any order, and the
+    pending work is one length and a count.  Halving converges: ``||B||``
+    falls as ``t``, and ``(z_k - T)^{-1}`` tends to ``1 / z_k``, so the
+    iteration's spectral radius tends to 0.  Shorter substeps also suit the
+    contour: for a random ``H`` of norm 1 at ``d = 64`` and ``t = gamma =
+    1``, the contour sum over the unhalved substep is off by 2.6e-5 on
+    ``|63><63|``, over the halved substeps by 4e-14.  The coefficients of the
+    back-substitution are built once per length.  After ``_HALVINGS``
+    halvings, ``2^_HALVINGS`` times the substeps and work, a substep that
+    still does not settle raises ``ValueError``.
+
+    ``t`` is first split into equal substeps (:func:`damping_substeps`):
 
     * ``ceil(2 t ||H||_2 / _SUBSTEP_SPREAD)`` of them, because the parabola
       is accurate near the negative real axis but not far from it near the
@@ -557,17 +552,10 @@ def damped_action(gamma: float, t: float, ops, generator: Generator = Generator(
     s, d = x.shape[:2]
     h, rate = generator.hamiltonian_on(d), generator.dephasing_rate
     steps = int(damping_substeps(gamma, t, np.linalg.norm(h, 2)))
-    tau = t / steps
-
-    # the back-substitution's coefficients, laid out (node, m, 1, n) like the iterates
     z, w = _contour(_CONTOUR_POINTS)
     levels, e = np.arange(d), np.diagonal(h)
     charge = levels[:, None] - levels
-    diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * rate * charge**2 + 1j * (e[:, None] - e))
-    inverse = 1.0 / (z[:, None, None, None] + diagonal[:, None, :])
     root = np.sqrt(levels[1:])
-    jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, :] * inverse[:, :-1, :, :-1]
-    off = -1j * tau * (h - np.diag(e))
     # the iterates, the right-hand side (also B Y's scratch), B Y now and one iteration back
     y, f, by, old = np.empty((4, len(z), d, s, d), dtype=np.complex128)
 
@@ -587,7 +575,7 @@ def damped_action(gamma: float, t: float, ops, generator: Generator = Generator(
         return np.sqrt(np.einsum("pmsn,pmsn->ps", y.view(np.float64), y.view(np.float64)))
 
     def substep(x):
-        """The node solutions ``Y_k`` of one substep, in ``y``."""
+        """The node solutions ``Y_k`` of one substep, in ``y``; None if the iteration does not settle."""
         v = x.transpose(1, 0, 2)
         solve(v, inverse, jump, y)
         if not off.any():
@@ -605,71 +593,31 @@ def damped_action(gamma: float, t: float, ops, generator: Generator = Generator(
             if done.all():
                 return y
             if (~done & (error > previous / 2)).any():
-                break
+                return None
             live = 1 + np.flatnonzero(~done)[-1]
             weight, previous, fresh, last = weight[:live], error[:live], last, fresh
-        return krylov(v, norms, weight[~done[:live]], np.flatnonzero(~done[:live]))
+        return None
 
-    def krylov(v, norms, weight, live):
-        """``y`` with the solutions at nodes ``live`` by GMRES on ``(z_k - A)(z_k - T)^{-1}``; settled nodes leave the batch."""
-        # per live node and state: the basis, the Hessenberg columns, kept
-        # triangular by Givens rotations, and the rotated right-hand side,
-        # whose last entry is the residual norm
-        basis = [np.broadcast_to(v / norms[:, None], (len(live), d, s, d))]
-        g = [np.broadcast_to(norms.astype(np.complex128), (len(live), s))]
-        columns, rotations = [], []
-        previous, done = np.full(len(live), np.inf), np.zeros(len(live), dtype=bool)
-        for j in range(_ITERATIONS + _KRYLOV_LEVELS * d):
-            # Arnoldi on I - B (z_k - T)^{-1}, by modified Gram-Schmidt
-            u = basis[j] - apply_b(solve(basis[j], inverse[live], jump[live], f[: len(live)]), by[: len(live)], old[: len(live)])
-            column = []
-            for q in basis:
-                column.append(np.einsum("pmsn,pmsn->ps", q.conj(), u))
-                u -= column[-1][:, None, :, None] * q
-            size = norm(u)
-            basis.append(u / np.where(size > 0, size, 1.0)[:, None, :, None])
-            for i, (c, r) in enumerate(rotations):
-                column[i], column[i + 1] = c * column[i] + r * column[i + 1], c * column[i + 1] - r.conj() * column[i]
-            top = np.abs(column[j])
-            hyp = np.hypot(top, size)
-            hyp[hyp == 0] = 1.0  # a zero state's column: its coefficients stay 0
-            phase = np.where(top > 0, column[j] / np.where(top > 0, top, 1.0), 1.0)
-            c, r = top / hyp, phase * size / hyp
-            column[j] = phase * hyp
-            rotations.append((c, r))
-            g.append(-r.conj() * g[j])
-            g[j] = c * g[j]
-            columns.append(column)
-            error = (weight * np.abs(g[-1]) / norms).max(axis=1)
-            done |= _settled(error, previous)
-            previous = error
-            if 2 * done.sum() < len(done):
-                continue
-            # solve the triangular systems of the settled nodes, then drop them
-            tri = np.zeros((done.sum(), s, j + 1, j + 1), dtype=np.complex128)
-            for i, column in enumerate(columns):
-                tri[..., : i + 1, i] = np.stack([part[done] for part in column[: i + 1]], axis=-1)
-            coef = np.linalg.solve(tri, np.stack([part[done] for part in g[:-1]], axis=-1)[..., None])[..., 0]
-            combined = sum(coef[:, None, :, i, None] * q[done] for i, q in enumerate(basis[:-1]))
-            y[live[done]] = solve(combined, inverse[live[done]], jump[live[done]], combined)
-            if done.all():
-                return y
-            keep = ~done
-            live, weight, previous, done = live[keep], weight[keep], previous[keep], done[keep]
-            for i, q in enumerate(basis):
-                basis[i] = q[keep]
-            g = [part[keep] for part in g]
-            columns = [[part[keep] for part in column] for column in columns]
-            rotations = [(c[keep], r[keep]) for c, r in rotations]
-        raise ValueError(
-            f"damped_action: the Krylov solve missed its residual after {j + 1} iterations at "
-            f"{len(live)} of {len(z)} nodes, weighted residual {previous.max():.3g}"
-        )
-
-    for _ in range(steps):
-        out = np.einsum("p,pmsn->smn", w, substep(x))
-        x = out + out.conj().transpose(0, 2, 1)
-    return x
+    tau, halvings = t / steps, 0
+    while True:
+        # the back-substitution's coefficients, laid out (node, m, 1, n) like the iterates
+        diagonal = tau * (gamma * (levels[:, None] + levels) + 0.5 * rate * charge**2 + 1j * (e[:, None] - e))
+        inverse = 1.0 / (z[:, None, None, None] + diagonal[:, None, :])
+        jump = (2.0 * tau * gamma * np.outer(root, root))[:, None, :] * inverse[:, :-1, :, :-1]
+        off = -1j * tau * (h - np.diag(e))
+        while steps and (nodes := substep(x)) is not None:
+            out = np.einsum("p,pmsn->smn", w, nodes)
+            x = out + out.conj().transpose(0, 2, 1)
+            steps -= 1
+        if not steps:
+            return x
+        if halvings == _HALVINGS:
+            raise ValueError(
+                f"damped_action: the fixed-point iteration does not settle on a substep of length {tau:.6g}, "
+                f"after {halvings} halvings"
+            )
+        del inverse, jump  # before the next length's are built
+        tau, steps, halvings = tau / 2, 2 * steps, halvings + 1
 
 
 # Stopping rule of zeno_action: the iteration stops once the steps still to

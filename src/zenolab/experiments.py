@@ -27,7 +27,6 @@ from .channels import (
     attenuator_deviation,
     attenuator_mixing_bound,
     damped_action,
-    damping_arrays,
     damping_substeps,
     zeno_action,
 )
@@ -99,6 +98,12 @@ _LIVE_MIXING_ARRAYS = 7
 # to 200 with 1, 4 and 8 states held 6.7 to 8.6 such arrays per state plus
 # one (11.4 at d = 8).
 _LIVE_ZENO_ARRAYS = 10
+# A damping run holds d x d arrays only: damped_action's four work buffers
+# over its 24 contour nodes (96 per state) and the coefficients of one
+# substep length (about 50).  Peaks at d = 16 to 128 with 1 to 24 states,
+# with and without halving, and at the halving cap for d = 16 to 64, held 76
+# to 102 such arrays per state plus one (129 at d = 8).
+_LIVE_DAMPING_ARRAYS = 128
 # The most grid points a run lists, zeno_action's steps over a grid, and
 # damped_action's substeps over a grid.
 _GRID_POINTS = 10_000
@@ -304,8 +309,7 @@ def _check_work(cfg: ExperimentConfig) -> None:
     if cfg.kind != "damping" or cfg.generator_type != "hamiltonian":
         return
     d = cfg.dimension
-    scale = abs(cfg.generator_scale) if cfg.generator_scale is not None else 1.0 / d
-    norm = scale * {"random": 1.0, "number": d - 1.0, "quadrature": 2.0 * math.sqrt(d - 1)}[cfg.hamiltonian_kind]
+    norm = abs(_scale(cfg, d)) * {"random": 1.0, "number": d - 1.0, "quadrature": 2.0 * math.sqrt(d - 1)}[cfg.hamiltonian_kind]
     steps = cfg.grid_count * damping_substeps(cfg.grid_start, cfg.t, norm)
     if steps > _SUBSTEP_BUDGET:
         field = "generator.scale" if cfg.generator_scale is not None else "experiment.t"
@@ -320,8 +324,7 @@ def _charge(cfg: ExperimentConfig) -> tuple:
         count = _LIVE_MIXING_ARRAYS * arrays
         return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
     if cfg.kind == "damping":
-        # at worst damped_action's Krylov bases for all 24 contour nodes, which grow with d
-        count = math.ceil(damping_arrays(d) * arrays)
+        count = _LIVE_DAMPING_ARRAYS * arrays
         return 16 * count * d**2, f"the damping kernel's {count} complex {d}x{d} arrays"
     if cfg.kind == "zeno" and cfg.channel_type == "attenuator":
         count = _LIVE_ZENO_ARRAYS * arrays
@@ -409,13 +412,18 @@ def build_states(cfg: ExperimentConfig, dim: int) -> list:
     return states
 
 
+def _scale(cfg: ExperimentConfig, dim: int) -> float:
+    """``generator.scale``, or its default ``1/dim`` for a Hamiltonian on ``dim`` levels."""
+    return cfg.generator_scale if cfg.generator_scale is not None else 1.0 / dim
+
+
 def _generator(cfg: ExperimentConfig, dim: int) -> Generator:
     """The run's generator ``L``: none, dephasing at ``generator.rate``, or ``-i[H, .]`` for the configured ``H``."""
     if cfg.generator_type == "none":
         return Generator()
     if cfg.generator_type == "dephasing":
         return Generator(dephasing_rate=cfg.dephasing_rate)
-    scale = cfg.generator_scale if cfg.generator_scale is not None else 1.0 / dim
+    scale = _scale(cfg, dim)
     if cfg.hamiltonian_kind == "quadrature":
         a = annihilation(dim)
         h = (a + a.conj().T) * scale

@@ -77,10 +77,12 @@ def coherent_vector(alpha: complex, dim: int) -> CoherentVector:
         coeff[n] = coeff[n - 1] * alpha / np.sqrt(n)
     # Tail summed as exp(-|a|^2) sum_{n>=d} |a|^{2n}/n! via the same
     # recurrence; the equivalent 1 - sum |c_n|^2 would lose tiny tails to
-    # cancellation at the 1e-16 floor.
+    # cancellation at the 1e-16 floor.  When the first term underflows, as
+    # every |c_n|^2 does at small d past |a| near 27, the recurrence has
+    # nothing to sum and the tail is 1 - sum |c_n|^2 after all.
     mag2 = abs(alpha) ** 2
     term = float(np.abs(coeff[dim - 1]) ** 2) * mag2 / dim
-    tail = 0.0
+    tail = 0.0 if term else 1.0 - float(np.vdot(coeff, coeff).real)
     n = dim
     while term > 0.0:
         tail += term

@@ -76,10 +76,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):
-    bad = tmp_path / "tail.ini"
-    bad.write_text(GOOD.replace("fock:1, random:0", "coherent:2.5"))
-    assert main(["--out", str(tmp_path), "run", str(bad)]) == 3
-    assert "tail_mass" in capsys.readouterr().err
+    # coherent:2.5 leaves 6 levels a tail of 0.59; at |z| = 40 every
+    # coefficient underflows, so the state holds no mass and all of it is tail
+    for spec, tail in (("coherent:2.5", "5.936e-01"), ("coherent:40", "1.000e+00")):
+        bad = tmp_path / "tail.ini"
+        bad.write_text(GOOD.replace("fock:1, random:0", spec))
+        assert main(["--out", str(tmp_path), "run", str(bad)]) == 3
+        assert f"invariant violation: states.specs: '{spec}' has tail_mass {tail}" in capsys.readouterr().err
+        assert not (tmp_path / "cli-mixing.csv").exists()
 
 
 @pytest.mark.parametrize("spec", ["coherent:1e200", "random:-999"])
@@ -141,7 +145,7 @@ def test_defective_attenuator_weights_exit_3(tmp_path, capsys, monkeypatch, kind
     "text, field",
     [
         ("[experiment]\nkind = zeno\ndimension = 100000\n", "experiment.dimension"),
-        ("[experiment]\nkind = damping\ndimension = 1000\n", "experiment.dimension"),
+        ("[experiment]\nkind = damping\ndimension = 100000\n", "experiment.dimension"),
         ("[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 300\n", "binomial.system_dim"),
         (
             "[experiment]\nkind = zeno\n[channel]\ntype = gapped\nsystem_dim = 300\n",
@@ -189,20 +193,25 @@ def test_oversized_mixing_config_exits_2_before_running(tmp_path, capsys, monkey
     assert "config error: experiment.dimension:" in err and "physical memory" in err
 
 
-def test_damping_solve_at_its_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
-    # a Krylov solve that misses its residual within the cap ends the run
-    # with exit 3 naming the kernel, before any row is written
+def test_damping_solve_at_its_halving_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # a substep that still does not settle after the most halvings ends the
+    # run with exit 3 naming the kernel and the substep's length, before any
+    # row is written
     path = tmp_path / "damping.ini"
     path.write_text(
         GOOD.replace("kind = mixing", "kind = damping").replace("id = cli-mixing", "id = cli-damping")
         .replace("start = 1", "start = 8")
         + "\n[generator]\ntype = hamiltonian\nhamiltonian = random\nscale = 0.4\n"
     )
-    monkeypatch.setattr(channels, "_ITERATIONS", 1)
-    monkeypatch.setattr(channels, "_KRYLOV_LEVELS", 0)
+    monkeypatch.setattr(channels, "_RESIDUAL", -1.0)
+    monkeypatch.setattr(channels, "_RESIDUAL_FLOOR", -1.0)
     assert main(["--out", str(tmp_path), "run", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "invariant violation: damping: damped_action: the Krylov solve missed its residual" in err
+    length = 1.0 / 2**channels._HALVINGS  # t = 1 is one substep at gamma = 8
+    assert (
+        "invariant violation: damping: damped_action: the fixed-point iteration does not settle "
+        f"on a substep of length {length:.6g}, after {channels._HALVINGS} halvings"
+    ) in err
     assert not (tmp_path / "cli-damping.csv").exists()
     monkeypatch.undo()
     assert main(["--out", str(tmp_path), "run", str(path)]) == 0

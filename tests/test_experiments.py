@@ -43,12 +43,12 @@ from zenolab.experiments import (
     run_experiment,
     write_csv,
 )
-from zenolab.fock import annihilation, number_operator
+from zenolab.fock import number_operator
 from zenolab.linalg import trace_norm
 from zenolab.sampling import random_gapped_channel, random_operator, stream
 from zenolab.zeno import ZenoConfig, effective_dynamics
 
-from dense_reference import damped_evolution, zeno_product
+from dense_reference import damped_evolution, damped_evolution_sparse, zeno_product
 
 MINI_ZENO = """
 [experiment]
@@ -187,12 +187,11 @@ def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind)
     # memory for exactly what an attenuator run holds at d = 100 with two
     # states admits d = 100, not d = 101 or a third state: zeno some d x d
     # arrays per state plus one (its kernel's plan among them), damping the
-    # Krylov bases of its 24 nodes, d x d arrays per state plus one
+    # work buffers and coefficients of its 24 nodes, d x d arrays per state
+    # plus one
     d = 100
-    if kind == "zeno":
-        entries = experiments._LIVE_ZENO_ARRAYS * 3 * d**2
-    else:
-        entries = math.ceil(channels.damping_arrays(d) * 3) * d**2
+    live = experiments._LIVE_ZENO_ARRAYS if kind == "zeno" else experiments._LIVE_DAMPING_ARRAYS
+    entries = live * 3 * d**2
     pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": entries}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace("dimension = 10", f"dimension = {d}")
@@ -486,12 +485,8 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
 def test_damping_with_a_dense_hamiltonian_at_d64_matches_expm():
     # a random H at d = 64 and gamma = 2: the fixed-point iteration diverges
     # at the far contour nodes, where the long jump chains make (z_k - T)^{-1}
-    # large, so GMRES solves them.  Against scipy's expm_multiply on the
-    # sparse generator, gamma (2 a x a^dag - N x - x N) - i [H, x] in
-    # row-major vec; the 48-node contour itself is off by about 2e-11 here
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
-
+    # large, so the substeps are halved.  Against scipy's expm_multiply on
+    # the sparse generator, gamma (2 a x a^dag - N x - x N) - i [H, x]
     d = 64
     text = (
         MINI_ZENO.replace("kind = zeno", "kind = damping")
@@ -504,12 +499,7 @@ def test_damping_with_a_dense_hamiltonian_at_d64_matches_expm():
     cfg = parse_config_text(text)
     (row,) = run_experiment(cfg)
     (_, x), = build_states(cfg, d)
-    h = _generator(cfg, d).hamiltonian
-    a, eye = sp.csr_matrix(annihilation(d)), sp.identity(d, format="csr")
-    n = a.T @ a
-    k = 2 * sp.kron(a, a) - sp.kron(n, eye) - sp.kron(eye, n)
-    l = -1j * (sp.kron(sp.csr_matrix(h), eye) - sp.kron(eye, sp.csr_matrix(h.T)))
-    exact = expm_multiply((cfg.t * (row.parameter * k + l)).tocsr(), x.reshape(-1)).reshape(d, d)
+    exact = damped_evolution_sparse(_generator(cfg, d).hamiltonian, cfg.t, row.parameter, x)
     exact[0, 0] -= np.trace(x)
     assert abs(row.error - trace_norm(exact)) <= 1e-10
 
@@ -546,9 +536,9 @@ def test_damping_at_d128_parses_on_8_gib_and_matches_closed_form(monkeypatch):
 
 
 @pytest.mark.parametrize("d, specs", [(8, "random:0"), (24, "fock:1, coherent:0.5, random:0")])
-def test_damping_run_at_the_krylov_cap_stays_within_its_charge(monkeypatch, d, specs):
-    # no node ever settles, so every node keeps its Krylov basis up to the
-    # cap: the most a damping run can hold
+def test_damping_run_at_the_halving_cap_stays_within_its_charge(monkeypatch, d, specs):
+    # no node ever settles, so every substep is halved up to the cap, each
+    # length with its own coefficients: the most a damping run can hold
     text = (
         MINI_ZENO.replace("kind = zeno", "kind = damping")
         .replace("dimension = 10", f"dimension = {d}")
@@ -561,7 +551,7 @@ def test_damping_run_at_the_krylov_cap_stays_within_its_charge(monkeypatch, d, s
     monkeypatch.setattr(channels, "_RESIDUAL_FLOOR", -1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(InvariantViolation, match="Krylov solve missed its residual"):
+        with pytest.raises(InvariantViolation, match=f"after {channels._HALVINGS} halvings"):
             run_experiment(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -595,20 +585,23 @@ def test_damping_substeps_are_bounded_at_parse_time(monkeypatch, old, new, field
 @pytest.mark.parametrize("d", [2, 5, 24, 100])
 def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
     # with the budget one below the substeps damped_action takes over the
-    # grid, the parse-time estimate must refuse the run
-    text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
-        .replace("dimension = 10", f"dimension = {d}\nt = 3.7")
-        .replace("hamiltonian = quadrature", f"hamiltonian = {kind}\nscale = 0.9")
-        .replace("fock:1, coherent:0.5", "fock:1")
-    )
-    cfg = parse_config_text(text)
-    h = _generator(cfg, d).hamiltonian
-    taken = sum(channels.damping_substeps(gamma, cfg.t, np.linalg.norm(h, 2)) for gamma in cfg.grid())
-    monkeypatch.setattr(experiments, "_SUBSTEP_BUDGET", taken - 1)
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert err.value.field == "generator.scale"
+    # grid, the parse-time estimate must refuse the run, at a set scale and
+    # at the default one, which the estimate and the run's H share
+    for scale, field in (("\nscale = 0.9", "generator.scale"), ("", "experiment.t")):
+        text = (
+            MINI_ZENO.replace("kind = zeno", "kind = damping")
+            .replace("dimension = 10", f"dimension = {d}\nt = 3.7")
+            .replace("hamiltonian = quadrature", f"hamiltonian = {kind}{scale}")
+            .replace("fock:1, coherent:0.5", "fock:1")
+        )
+        cfg = parse_config_text(text)
+        h = _generator(cfg, d).hamiltonian
+        taken = sum(channels.damping_substeps(gamma, cfg.t, np.linalg.norm(h, 2)) for gamma in cfg.grid())
+        monkeypatch.setattr(experiments, "_SUBSTEP_BUDGET", taken - 1)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert err.value.field == field
+        monkeypatch.undo()
 
 
 def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):

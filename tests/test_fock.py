@@ -109,6 +109,14 @@ def test_tail_mass_ratio_bound():
             assert tail <= bound + 1e-18
 
 
+@pytest.mark.parametrize("alpha, d", [(30, 8), (35, 64), (40, 64), (40, 2000)])
+def test_tail_mass_of_underflowed_coefficients(alpha, d):
+    # every |c_n|^2 underflows, so the vector holds no mass: all of it is tail
+    cv = coherent_vector(alpha, d)
+    assert np.vdot(cv.coefficients, cv.coefficients).real == 0.0
+    assert cv.tail_mass == 1.0
+
+
 def test_vacuum_state():
     assert np.allclose(vacuum_state(2), np.array([[1, 0], [0, 0]]))
     assert particle_number(vacuum_state(8)) == 0.0
