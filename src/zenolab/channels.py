@@ -6,6 +6,7 @@ so a Kraus map sum_i K_i x K_i^dag has matrix sum_i conj(K_i) kron K_i.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma, log, log1p
@@ -282,7 +283,7 @@ def _charge_layout(d: int, s: int) -> tuple:
     return gather, scatter, sign
 
 
-def _attenuator_apply(plan, x: np.ndarray) -> np.ndarray:
+def _attenuator_apply(plan, x: np.ndarray, capacity: int = 0) -> np.ndarray:
     """``Phi_eta(x)`` for a Hermitian ``(S, d, d)`` batch by the tiles of ``plan``, reading lower triangles only.
 
     The lower diagonals are gathered into one ``(d, S d)`` array, scaled,
@@ -290,20 +291,28 @@ def _attenuator_apply(plan, x: np.ndarray) -> np.ndarray:
     dgemm for ``d <= _BLOCK``), scaled and scattered; the upper triangle is
     the conjugate and the diagonal is real, so the image is exactly
     Hermitian.
+
+    The gather and scatter indices of :func:`_charge_layout` are built for
+    ``max(S, capacity)`` states and read as a prefix, so a caller whose batch
+    shrinks passes its first size and never has them rebuilt.
     """
     tables, tiles = plan
     s, d = x.shape[:2]
-    gather, scatter, sign = _charge_layout(d, s)
-    # y overwrites z: a block's diagonal tile reads z there last and writes y first
-    z = y = np.take(x, gather)
+    room = max(s, capacity)
+    gather, scatter, sign = _charge_layout(d, room)
+    z = np.take(x, gather[:, :s])
+    # y overwrites z: a block's diagonal tile reads z there last and writes y first.
+    # Below capacity y is the prefix of a buffer laid out for it, which the scatter indices read.
+    held = z if s == room else np.empty((d, room, d), dtype=np.complex128)
+    y = held[:, :s]
     for rows, cols, toeplitz, gauge, shift, scales in tiles:
         scale_in, scale_out = scales or _tile_scales(tables, rows, cols, gauge, shift)
         q = d - cols.start
         part = (z[cols, :, :q] * scale_in[:, None, :]).view(np.float64).reshape(len(scale_in), -1)
         if q == d:
-            # the first block, where y is contiguous: the product lands in place
+            # the first block, whose rows hold s d contiguous entries: the product lands in place
             block = y[rows]
-            np.matmul(toeplitz, part, out=block.view(np.float64).reshape(len(block), -1))
+            np.matmul(toeplitz, part, out=block.view(np.float64).reshape(len(block), 2 * s * d))
             block *= scale_out[:, None, :]
             continue
         part = (toeplitz @ part).view(np.complex128).reshape(-1, s, q)
@@ -313,7 +322,7 @@ def _attenuator_apply(plan, x: np.ndarray) -> np.ndarray:
             part *= scale_out[:, None, :]
             y[rows, :, :q] += part
     del part
-    out = np.take(y, scatter)
+    out = np.take(held, scatter[:s])
     out.view(np.float64)[..., 1::2] *= sign
     return out
 
@@ -628,19 +637,19 @@ _SETTLED = 1e-14
 _ROUNDING = 1e-12
 
 
-def zeno_action(n: int, t: float, ops, channel, generator: Generator = Generator()) -> np.ndarray:
-    """``(M e^{tL/n})^n x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
+def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) -> np.ndarray:
+    """``(M e^{tL/n})^n x`` for each step count ``n`` of ``ns`` and each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
-    ``M`` is the attenuator at ``eta = channel`` when ``channel`` is a
-    number, applied by the Toeplitz products of :func:`_attenuator_plan`
-    (the plan built once per call; each step is one real dgemm for
-    ``d <= 128``), or
+    Returns a ``(K, S, d, d)`` stack for the ``K`` counts of ``ns``.  ``M``
+    is the attenuator at ``eta = channel`` when ``channel`` is a number,
+    applied by the Toeplitz products of :func:`_attenuator_plan` (the plan
+    built once per call; each step is one real dgemm for ``d <= 128``), or
     the :class:`Superoperator` ``channel`` applied to the column-stacked
     batch.  ``L`` is the :class:`Generator` ``generator``: ``-i[H, .]`` or
     dephasing at rate ``r``, not both; ``e^{tL/n}`` is applied exactly, as
     the conjugation by ``V e^{-i Lambda t/n} V^dag`` from one ``eigh(H)``
-    per call (made unitary to an ulp by one Newton-Schulz step), or as the
-    entrywise factor ``exp(-(t/n) r (m - n)^2 / 2)``.
+    per call (made unitary to an ulp by one Newton-Schulz step per ``n``),
+    or as the entrywise factor ``exp(-(t/n) r (m - n)^2 / 2)``.
 
     The step is iterated on the batch, ``y_k = (M e^{tL/n}) y_{k-1}``.
     ``M`` must be a channel, as every map that
@@ -652,42 +661,59 @@ def zeno_action(n: int, t: float, ops, channel, generator: Generator = Generator
     reached the rounding floor; the second exit costs at most
     ``n _ROUNDING``, the budget the dense step already spends through
     ``matrix_exp(tol=1e-12)``.  A mixing ``M`` forgets its input
-    geometrically, so the attenuator at ``|eta| = 1/2`` at ``d = 24``
-    takes all ``n`` steps for ``n = 8, 16, 32`` and 53 to 71 steps for
-    ``n = 64`` to 4096, at ``O(S d^3)`` each; a non-mixing ``M``
-    (``|eta| = 1``) takes all ``n``.  Slow mixing
+    geometrically, so the attenuator at ``|eta| = 1/2`` on the three states
+    of the zeno-d24 benchmark (``d = 24``) takes all ``n`` steps for ``n =
+    8, 16, 32`` and 53 to 71 steps for ``n = 64`` to 4096, at ``O(S d^3)``
+    each; a non-mixing ``M`` (``|eta| = 1``) takes all ``n``.  Slow mixing
     (``|eta| >= 0.95``) at small ``d`` is the input where ``log2 n`` dense
-    ``d^2 x d^2`` products would cost less.  The result is Hermitian by
+    ``d^2 x d^2`` products would cost less.
+
+    The counts of ``ns`` step together, which spreads numpy's per-call
+    overhead over them: each step applies every unfinished count's
+    ``e^{tL/n}`` to its own copy of the batch, by per-matrix products, and
+    then ``M`` to all of them at once, one attenuator dgemm over their
+    states.  Each count keeps its own ``k``, ``r_k`` and ``r_{k-1}`` and
+    leaves the group at its own exit, so every image is the same, bit for
+    bit, as from a call with that count alone.  The ten counts of the
+    zeno-d24 grid take 71 steps together, over 30 states at first and 3 in
+    the end, where they took 497 alone.  The result is Hermitian by
     construction.
     """
     x = _hermitian_batch(ops, "zeno_action")
-    if n < 1 or t <= 0:
-        raise ValueError("zeno_action needs n >= 1 and t > 0")
+    ns = [operator.index(n) for n in ns]
+    if not ns or min(ns) < 1 or t <= 0:
+        raise ValueError("zeno_action needs step counts n >= 1 and t > 0")
     rate = generator.dephasing_rate
     if generator.hamiltonian is not None and rate:
         raise ValueError("zeno_action takes a Hamiltonian or a dephasing rate, not both")
     s, d = x.shape[:2]
-    tau = t / n
+    # the per-count factors of e^{tL/n}, each (K, 1, d, d), compacted as counts finish
     if generator.hamiltonian is not None:
         lam, v = np.linalg.eigh(generator.hamiltonian_on(d))
-        u = (v * np.exp(-1j * tau * lam)) @ v.conj().T
-        # one Newton-Schulz step takes ||u^dag u - I|| from a few ulp (the
-        # eigenvectors' own) to one: each ulp of it moves the trace by about
-        # an ulp at every step, the same way each time
-        u = u @ (1.5 * np.eye(d) - 0.5 * (u.conj().T @ u))
-        u_dag = u.conj().T
+        v_dag = v.conj().T
+        # u^dag is stored, not a transposed view, which numpy's stacked products read slower
+        u, u_dag = np.empty((2, len(ns), 1, d, d), dtype=np.complex128)
+        for point, n in enumerate(ns):
+            w = (v * np.exp(-1j * (t / n) * lam)) @ v_dag
+            # one Newton-Schulz step takes ||u^dag u - I|| from a few ulp (the
+            # eigenvectors' own) to one: each ulp of it moves the trace by about
+            # an ulp at every step, the same way each time
+            u[point, 0] = w @ (1.5 * np.eye(d) - 0.5 * (w.conj().T @ w))
+            u_dag[point, 0] = u[point, 0].conj().T
+        factors = [u, u_dag]
 
-        def evolve(y):
+        def evolve(y, u, u_dag):
             return u @ y @ u_dag
 
     elif rate:
         charge = np.subtract.outer(np.arange(d), np.arange(d))
-        factor = np.exp(-0.5 * tau * rate * charge**2)
+        factors = [np.exp(-0.5 * (t / np.array(ns))[:, None, None, None] * rate * charge**2)]
 
-        def evolve(y):
+        def evolve(y, factor):
             return y * factor
 
     else:
+        factors = []
 
         def evolve(y):
             return y
@@ -698,25 +724,38 @@ def zeno_action(n: int, t: float, ops, channel, generator: Generator = Generator
         m_t = channel.matrix.T
 
         def mix(y):
-            # row i of the product is vec(M y_i) read row-major, that is M(y_i)^T
-            return (y.transpose(0, 2, 1).reshape(s, d * d) @ m_t).reshape(s, d, d).transpose(0, 2, 1)
+            # row i of a count's product is vec(M y_i) read row-major, that is M(y_i)^T; one
+            # product per count, as a lone call makes (one state takes a gemv, more a gemm)
+            return (y.swapaxes(2, 3).reshape(len(y), s, d * d) @ m_t).reshape(y.shape).swapaxes(2, 3)
 
     else:
         plan = _attenuator_plan(channel, d)
 
         def mix(y):
-            return _attenuator_apply(plan, y)
+            return _attenuator_apply(plan, y.reshape(-1, d, d), len(ns) * s).reshape(y.shape)
 
     root_d = float(np.sqrt(d))
-    previous = np.inf
-    for k in range(1, n + 1):
-        y = mix(evolve(x))
-        change = root_d * float(np.linalg.norm((y - x).reshape(s, -1), axis=1).max())
+    out = np.empty((len(ns), s, d, d), dtype=np.complex128)
+    live = list(range(len(ns)))  # the counts still stepping, by their place in ns
+    previous = [np.inf] * len(ns)
+    x = np.repeat(x[None], len(ns), axis=0)
+    for k in range(1, max(ns) + 1):
+        y = mix(evolve(x, *factors))
+        changes = np.linalg.norm((y - x).reshape(len(live), s, -1), axis=2).max(axis=1).tolist()
         x = y
-        if (n - k) * change <= _SETTLED or previous <= change <= _ROUNDING:
-            break
-        previous = change
-    return (x + x.conj().transpose(0, 2, 1)) / 2
+        done = []
+        for point, change in zip(live, changes):
+            n, change = ns[point], root_d * change
+            done.append(k == n or (n - k) * change <= _SETTLED or previous[point] <= change <= _ROUNDING)
+            previous[point] = change
+        if any(done):
+            out[[point for point, stop in zip(live, done) if stop]] = x[done]
+            live = [point for point, stop in zip(live, done) if not stop]
+            if not live:
+                break
+            keep = np.logical_not(done)
+            x, factors = x[keep], [factor[keep] for factor in factors]
+    return (out + out.conj().swapaxes(2, 3)) / 2
 
 
 def to_superoperator(channel: KrausChannel) -> Superoperator:

@@ -82,27 +82,46 @@ _STREAM_GENERATOR = 2
 _STREAM_BINOMIAL = 3
 _STATE_STREAM_BASE = 1000
 
+# A sweep hands its kernel, and then trace_norm, consecutive grid points in
+# groups whose images, 16 d^2 bytes per state and point, fit in this many
+# bytes, at least one point per group.  With 3 states that is ten points at
+# d = 16, four at d = 24, two at d = 32 and one from d = 48.  Zeno sweeps
+# (3 states, n = 8 to 4096, 1 BLAS thread) ran fastest with groups of 96 to
+# 128 KiB: at d = 24 in 34 to 37 ms, against 44 to 46 ms with all ten points
+# in one group and 48 ms with one point per group; the step's dozen live
+# arrays of a larger group leave the cache.
+_GROUP_BYTES = 128 * 2**10
 # The size check charges each run for the complex entries (16 bytes each)
-# it holds at once, from tracemalloc peaks.  The gapped zeno channel and the
-# binomial kind hold dense d^2 x d^2 matrices: at most 9, from peaks at d =
-# 16 and 20 of 6.6 to 7.4 for zeno and 8.3 for the gapped binomial kind.
+# it holds at once, from tracemalloc peaks, plus a fixed allowance for what
+# does not grow with d: runs at d = 2 to 8 peaked up to 23 KiB above their
+# arrays (a zeno run at d = 2 with one state).
+_FIXED_BYTES = 64 * 2**10
+# The gapped zeno channel and the binomial kind hold dense d^2 x d^2
+# matrices: at most 9, from peaks at d = 16 and 20 of 6.6 to 7.4 for zeno
+# and 8.3 for the gapped binomial kind.
 _LIVE_MATRICES = 9
-# Mixing holds only d x d arrays: the states, their images, the kernel's
-# charge diagonals and temporaries, and its plan (the Toeplitz matrix and the
-# scales, about two arrays).  The most it holds at once, per test state plus
-# one, from peaks at d = 16 to 200 with 1, 4 and 8 states: 3.7 to 6.0 (at
-# d = 8, where an array is 1 KiB, fixed overhead takes it to 8.6).
+# Every other kind holds d x d arrays only.  The sweep stacks a group's
+# images, which trace_norm copies: up to 3 arrays per state and point of a
+# group (mixing peaked at 2.0 to 3.0 per state and point plus one).
+_LIVE_IMAGES = 3
+# Mixing's kernel holds the states, their images, its charge diagonals and
+# temporaries, and its plan (the Toeplitz matrix and the scales, about two
+# arrays).  The most it holds at once, per test state plus one, from peaks
+# at d = 16 to 200 with 1, 4 and 8 states: 3.7 to 6.0.
 _LIVE_MIXING_ARRAYS = 7
-# An attenuator zeno run holds d x d arrays only: the states, the limits, the
-# step's temporaries and the plan of the attenuator kernel.  Peaks at d = 16
-# to 200 with 1, 4 and 8 states held 6.7 to 8.6 such arrays per state plus
-# one (11.4 at d = 8).
+# An attenuator zeno run steps every state of its group at once: the states,
+# the limits, the step's temporaries and the group's images, per state and
+# point plus one, and each point's e^{tL/n} and its adjoint, twice while the
+# group shrinks.  Peaks at d = 8 to 64 with 1 to 8 states and groups of 1 to
+# 10 points held 8.3 to 10.0 arrays per state and point plus one, once the
+# points' own are taken off.
 _LIVE_ZENO_ARRAYS = 10
-# A damping run holds d x d arrays only: damped_action's four work buffers
-# over its 24 contour nodes (96 per state) and the coefficients of one
-# substep length (about 50).  Peaks at d = 16 to 128 with 1 to 24 states,
-# with and without halving, and at the halving cap for d = 16 to 64, held 76
-# to 102 such arrays per state plus one (129 at d = 8).
+_ZENO_POINT_ARRAYS = 4
+# A damping run holds damped_action's four work buffers over its 24 contour
+# nodes (96 per state) and the coefficients of one substep length (about 50).
+# Peaks at d = 16 to 128 with 1 to 24 states, with and without halving, and
+# at the halving cap for d = 16 to 64, held 76 to 102 such arrays per state
+# plus one (129 at d = 8).
 _LIVE_DAMPING_ARRAYS = 128
 # The most grid points a run lists, zeno_action's steps over a grid, and
 # damped_action's substeps over a grid.
@@ -319,17 +338,16 @@ def _check_work(cfg: ExperimentConfig) -> None:
 def _charge(cfg: ExperimentConfig) -> tuple:
     """``(bytes, what)``: the most memory a zeno, damping, mixing or binomial run holds at once."""
     _, d = _state_dim(cfg)
-    arrays = len(cfg.state_specs) + 1
-    if cfg.kind == "mixing":
-        count = _LIVE_MIXING_ARRAYS * arrays
-        return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
-    if cfg.kind == "damping":
-        count = _LIVE_DAMPING_ARRAYS * arrays
-        return 16 * count * d**2, f"the damping kernel's {count} complex {d}x{d} arrays"
+    states = len(cfg.state_specs)
+    group = min(_group_points(d, states), cfg.grid_count)
     if cfg.kind == "zeno" and cfg.channel_type == "attenuator":
-        count = _LIVE_ZENO_ARRAYS * arrays
-        return 16 * count * d**2, f"{count} complex {d}x{d} arrays"
-    return 16 * _LIVE_MATRICES * d**4, f"{_LIVE_MATRICES} dense complex {d * d}x{d * d} matrices"
+        count = _LIVE_ZENO_ARRAYS * (group * states + 1) + _ZENO_POINT_ARRAYS * group
+    elif cfg.kind in ("mixing", "damping"):
+        live = _LIVE_MIXING_ARRAYS if cfg.kind == "mixing" else _LIVE_DAMPING_ARRAYS
+        count = live * (states + 1) + _LIVE_IMAGES * group * states
+    else:
+        return _FIXED_BYTES + 16 * _LIVE_MATRICES * d**4, f"{_LIVE_MATRICES} dense complex {d * d}x{d * d} matrices"
+    return _FIXED_BYTES + 16 * count * d**2, f"{count} complex {d}x{d} arrays"
 
 
 def _check_size(cfg: ExperimentConfig) -> None:
@@ -473,28 +491,35 @@ def generator_norm(cfg: ExperimentConfig) -> float:
 # the sweep engine and the per-kind runners
 
 
-def _sweep(cfg: ExperimentConfig, act, states) -> list:
-    """``||act(x, batch)||_1`` for every grid point ``x`` and state, as ``ReportRow``s.
+def _group_points(d: int, states: int) -> int:
+    """How many consecutive grid points a sweep group takes: as many as ``_GROUP_BYTES`` of images hold, at least one."""
+    return max(1, _GROUP_BYTES // (16 * d * d * states))
 
-    ``act(x, batch)`` returns the images of the state matrices ``batch``
-    under the map at ``x`` minus its limit, one per state.  The grid points
-    run in order, one after another.  A row's ``wall_time_ms`` is an even
-    share of its point's ``act`` time plus its own error evaluation, so a
-    run's rows sum to its sweep.  No row has a bound or a fit yet.
+
+def _sweep(cfg: ExperimentConfig, act, states) -> list:
+    """``||act(points, batch)||_1`` for every grid point and state, as ``ReportRow``s.
+
+    ``act(points, batch)`` returns a ``(K, S, d, d)`` stack: for each of the
+    ``K`` grid points of ``points``, the images of the ``S`` state matrices
+    ``batch`` under the map at that point minus its limit.  The grid runs in
+    order, in groups of :func:`_group_points` consecutive points, each group
+    one ``act`` call and one stacked ``trace_norm``.  A row's
+    ``wall_time_ms`` is an even share of its group's time, so a run's rows
+    sum to its sweep.  No row has a bound or a fit yet.
     """
-    batch = [rho for _, rho in states]
+    batch = np.stack([rho for _, rho in states])
+    d = batch.shape[1]
+    grid = cfg.grid()
+    size = _group_points(d, len(states))
     rows = []
-    for x in cfg.grid():
+    for start in range(0, len(grid), size):
+        points = grid[start : start + size]
         started = time.perf_counter()
-        images = act(x, batch)
-        share = (time.perf_counter() - started) / len(states)
-        for (state_id, _), image in zip(states, images):
-            started = time.perf_counter()
-            err = trace_norm(image)
-            wall = share + time.perf_counter() - started
-            rows.append(
-                ReportRow(cfg.experiment_id, cfg.kind, float(x), state_id, err, None, None, None, wall * 1000.0)
-            )
+        errors = trace_norm(act(points, batch).reshape(-1, d, d)).reshape(len(points), len(states)).tolist()
+        share = (time.perf_counter() - started) * 1000.0 / (len(points) * len(states))
+        for x, own in zip(points, errors):
+            for (state_id, _), err in zip(states, own):
+                rows.append(ReportRow(cfg.experiment_id, cfg.kind, float(x), state_id, err, None, None, None, share))
     return rows
 
 
@@ -532,11 +557,11 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
     _, d = _state_dim(cfg)
     states = build_states(cfg, d)
 
-    def act(n, batch):
+    def act(points, batch):
         # Phi^n is the channel at eta^n (semigroup property).  The polar form
         # keeps |eta^n| to about an ulp; ``eta**n`` squares its way to n/2 ulp.
-        eta_n = cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta))
-        return attenuator_deviation(eta_n, batch)
+        etas = [cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta)) for n in points]
+        return np.stack([attenuator_deviation(eta_n, batch) for eta_n in etas])
 
     rho = dict(states)
     return [
@@ -576,8 +601,11 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
         limits = np.stack([apply(eff, rho) for _, rho in states])
         del zcfg, p, eff
 
-    def act(n, batch):
-        return zeno_action(n, cfg.t, batch, channel, generator) - limits
+    def act(points, batch):
+        images = zeno_action(points, cfg.t, batch, channel, generator)
+        for image in images:  # one point at a time: numpy copies a broadcast in-place operand
+            image -= limits
+        return images
 
     return _fitted(_sweep(cfg, act, states), "power_log")
 
@@ -594,8 +622,11 @@ def _run_damping(cfg: ExperimentConfig) -> list:
         attenuator_check(math.exp(-s), states, f"exp({s} K)")
     limits = _vacuum_limits(states)
 
-    def act(gamma, batch):
-        return damped_action(gamma, cfg.t, batch, generator) - limits
+    def act(points, batch):
+        images = np.stack([damped_action(gamma, cfg.t, batch, generator) for gamma in points])
+        for image in images:  # one point at a time: numpy copies a broadcast in-place operand
+            image -= limits
+        return images
 
     return _fitted(_sweep(cfg, act, states), "power_log")
 
@@ -615,10 +646,13 @@ def _run_binomial(cfg: ExperimentConfig) -> list:
         fit_model = "power_log"
     states = build_states(cfg, s)
 
-    def act(n, batch):
-        diff = bn.binomial_product(m_mat, l_mat, n) - target
-        # one product per state: a batched product would sum in another order
-        return [devectorize(diff @ vectorize(rho)) for rho in batch]
+    def act(points, batch):
+        images = []
+        for n in points:
+            diff = bn.binomial_product(m_mat, l_mat, n) - target
+            # one product per state: a batched product would sum in another order
+            images.append([devectorize(diff @ vectorize(rho)) for rho in batch])
+        return np.array(images)
 
     return _fitted(_sweep(cfg, act, states), fit_model)
 

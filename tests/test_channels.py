@@ -29,7 +29,7 @@ from zenolab.channels import (
 from zenolab.experiments import PRESETS, _generator, build_states, parse_config_text
 from zenolab.fock import annihilation, coherent_vector, number_operator, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
-from zenolab.sampling import random_density_matrix, random_hermitian, stream
+from zenolab.sampling import random_density_matrix, random_gapped_channel, random_hermitian, stream
 from zenolab.zeno import ZenoConfig, effective_dynamics
 
 from dense_reference import damped_evolution, damped_evolution_sparse, transpose_superoperator, zeno_product
@@ -839,13 +839,13 @@ def test_damped_action_holds_at_most_six_batch_arrays(gamma):
 
 
 def counted_attenuator_steps(monkeypatch) -> list:
-    """Patch the attenuator application that zeno_action looks up; one entry per step."""
+    """Patch the attenuator application that zeno_action looks up; one entry per step, its batch size."""
     calls = []
     apply_once = channels._attenuator_apply
 
-    def counted(products, x):
+    def counted(plan, x, capacity=0):
         calls.append(len(x))
-        return apply_once(products, x)
+        return apply_once(plan, x, capacity)
 
     monkeypatch.setattr(channels, "_attenuator_apply", counted)
     return calls
@@ -883,7 +883,47 @@ def test_zeno_action_matches_dense_reference(d, radius, angle, kind, scale, t, n
     m = to_superoperator(attenuator_kraus(eta, d))
     cfg = ZenoConfig(m=m, l=l, p=vacuum_projection_superop(d), t=t, test_states=())
     states = damping_states(d, seed)
-    assert_matches_dense_zeno(zeno_action(n, t, states, eta, generator), states, cfg, n)
+    assert_matches_dense_zeno(zeno_action([n], t, states, eta, generator)[0], states, cfg, n)
+
+
+def steps_per_count(batch_sizes, states):
+    """The step counts of a group's counts, in increasing order, from the batch size of each of its steps."""
+    live = [size // states for size in batch_sizes]
+    return sorted(sum(size > j for size in live) for j in range(max(live, default=0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    kind=st.sampled_from(["quadrature", "number", "random", "dephasing", "none"]),
+    channel=st.sampled_from(["real", "complex", "one", "gapped"]),
+    scale=st.floats(min_value=0.0, max_value=1.0),
+    t=st.floats(min_value=0.1, max_value=3.0),
+    ns=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6, unique=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_grouped_zeno_action_equals_a_call_per_count(d, kind, channel, scale, t, ns, seed):
+    # stepping counts together must not change one bit of any image, nor the
+    # step at which any count stops: at eta = 1j, which does not mix but
+    # turns the phases of the states, every count takes all its n steps
+    generator, _ = generator_parts(kind, d, scale, seed)
+    m = {"real": 0.3 + 0.6 * scale, "complex": 0.4 + 0.3j, "one": 1j}.get(channel)
+    if m is None:
+        m, _, _ = random_gapped_channel(d, stream(seed, 1), 0.5)
+    states = damping_states(d, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counted_attenuator_steps(patch)
+        grouped = zeno_action(ns, t, states, m, generator)
+        taken = steps_per_count(calls, len(states))
+        alone = []
+        for n, images in zip(ns, grouped):
+            calls.clear()
+            assert np.array_equal(zeno_action([n], t, states, m, generator)[0], images), n
+            alone.append(len(calls))
+    if channel != "gapped":
+        assert taken == sorted(alone)
+    if channel == "one":
+        assert alone == ns
 
 
 def test_zeno_action_takes_every_step_when_m_is_not_mixing(monkeypatch):
@@ -902,17 +942,21 @@ def test_zeno_action_takes_every_step_when_m_is_not_mixing(monkeypatch):
     )
     cfg.validate()
     calls = counted_attenuator_steps(monkeypatch)
-    for n in (8, 64, 512):
-        calls.clear()
-        got = zeno_action(n, 1.0, states, 1j, generator)
-        assert len(calls) == n
-        assert_matches_dense_zeno(got, states, cfg, n)
+    ns = (8, 64, 512)
+    got = zeno_action(ns, 1.0, states, 1j, generator)
+    # one step over the whole group per step of its longest count: each count
+    # stays in the batch, 3 states each, until its own n-th step
+    assert calls == [9] * 8 + [6] * (64 - 8) + [3] * (512 - 64)
+    for n, images in zip(ns, got):
+        assert_matches_dense_zeno(images, states, cfg, n)
 
 
 def test_zeno_action_settles_on_the_d24_benchmark_within_100_steps(monkeypatch):
-    # the attenuator-zeno preset at d = 24 plus a full-rank random state: at
-    # eta = 1/2 the step forgets its input geometrically, so at n = 4096 it
-    # stops moving the states after tens of steps (71 here)
+    # the attenuator-zeno preset at d = 24 plus a full-rank random state, its
+    # whole grid in one call as the sweep makes it: at eta = 1/2 the step
+    # forgets its input geometrically, so every count from n = 64 up stops
+    # moving the states after tens of steps (71 at most here), and the
+    # group's batch of 10 x 3 states shrinks as each count stops
     text = (
         PRESETS["attenuator-zeno"][1]
         .replace("dimension = 16", "dimension = 24")
@@ -921,8 +965,14 @@ def test_zeno_action_settles_on_the_d24_benchmark_within_100_steps(monkeypatch):
     cfg = parse_config_text(text)
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
     calls = counted_attenuator_steps(monkeypatch)
-    zeno_action(4096, cfg.t, states, cfg.eta, _generator(cfg, cfg.dimension))
+    channels._charge_layout.cache_clear()
+    zeno_action(cfg.grid(), cfg.t, states, cfg.eta, _generator(cfg, cfg.dimension))
     assert 0 < len(calls) <= 100
+    # the kernel's gather and scatter indices are built once, for the whole group, however it shrinks
+    assert channels._charge_layout.cache_info().misses == 1
+    assert calls[0] == 3 * cfg.grid_count and calls == sorted(calls, reverse=True)
+    # n = 8, 16 and 32 take all their steps; no larger count stops before the 32nd
+    assert calls[7] == 30 and calls[8] == 27 and calls[16] == 24 and calls[32] == 21
 
 
 def attenuator_after(eta, x):
@@ -939,8 +989,9 @@ def test_zeno_action_matches_phase_covariant_closed_form_at_d64():
     d, eta, s, t = 64, 0.45 + 0.2j, 0.05, 1.0
     states = damping_states(d, 64)
     rotated = states * np.exp(-1j * t * s * np.subtract.outer(np.arange(d), np.arange(d)))
-    for n in 8 * 2 ** np.arange(10):
-        got = zeno_action(int(n), t, states, eta, Generator(hamiltonian=s * number_operator(d)))
+    ns = 8 * 2 ** np.arange(10)
+    grouped = zeno_action(ns, t, states, eta, Generator(hamiltonian=s * number_operator(d)))
+    for n, got in zip(ns, grouped):
         expected = attenuator_after(cmath.rect(abs(eta) ** n, n * cmath.phase(eta)), rotated)
         for g, e in zip(got, expected):
             assert trace_norm(g - e) <= 1e-12
@@ -952,25 +1003,27 @@ def test_zeno_action_contract():
     a = annihilation(d)
     h = 0.2 * (a + a.conj().T)
     generator = Generator(hamiltonian=h)
-    batch = zeno_action(16, 0.5, states, 0.6, generator)
+    (batch,) = zeno_action([16], 0.5, states, 0.6, generator)
     assert batch.shape == states.shape
     for x, y in zip(states, batch):
         assert np.array_equal(y, y.conj().T)  # Hermitian by construction
-        alone = zeno_action(16, 0.5, x[None], 0.6, generator)[0]
+        alone = zeno_action([16], 0.5, x[None], 0.6, generator)[0, 0]
         # the batch may stop later than a state alone, never before its bound
         assert trace_norm(alone - y) <= 1e-13
     # the superoperator of the same channel gives the same images
     m = to_superoperator(attenuator_kraus(0.6, d))
-    assert np.abs(zeno_action(16, 0.5, states, m, generator) - batch).max() <= 1e-14
+    assert np.abs(zeno_action([16], 0.5, states, m, generator)[0] - batch).max() <= 1e-14
     for bad in (
-        lambda: zeno_action(16, 0.5, states[0], 0.6),  # a single matrix is not a batch
-        lambda: zeno_action(16, 0.5, states + 1j * np.eye(d), 0.6),  # not Hermitian
-        lambda: zeno_action(0, 0.5, states, 0.6),
-        lambda: zeno_action(16, 0.0, states, 0.6),
-        lambda: zeno_action(16, 0.5, states, 1.2),
-        lambda: zeno_action(16, 0.5, states, 0.6, Generator(hamiltonian=np.eye(d + 1))),
-        lambda: zeno_action(16, 0.5, states, 0.6, Generator(hamiltonian=h, dephasing_rate=0.1)),
-        lambda: zeno_action(16, 0.5, states, to_superoperator(attenuator_kraus(0.6, d + 1))),
+        lambda: zeno_action([16], 0.5, states[0], 0.6),  # a single matrix is not a batch
+        lambda: zeno_action([16], 0.5, states + 1j * np.eye(d), 0.6),  # not Hermitian
+        lambda: zeno_action([0], 0.5, states, 0.6),
+        lambda: zeno_action([16, 0], 0.5, states, 0.6),
+        lambda: zeno_action([], 0.5, states, 0.6),
+        lambda: zeno_action([16], 0.0, states, 0.6),
+        lambda: zeno_action([16], 0.5, states, 1.2),
+        lambda: zeno_action([16], 0.5, states, 0.6, Generator(hamiltonian=np.eye(d + 1))),
+        lambda: zeno_action([16], 0.5, states, 0.6, Generator(hamiltonian=h, dephasing_rate=0.1)),
+        lambda: zeno_action([16], 0.5, states, to_superoperator(attenuator_kraus(0.6, d + 1))),
     ):
         with pytest.raises(ValueError):
             bad()

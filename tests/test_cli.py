@@ -182,12 +182,12 @@ def test_oversized_mixing_config_exits_2_before_running(tmp_path, capsys, monkey
         raise AssertionError("an oversized config reached the run")
 
     # one byte less than the mixing estimate at d = 128 with GOOD's two states
-    need = experiments._LIVE_MIXING_ARRAYS * (2 + 1) * 16 * 128**2
+    path = tmp_path / "big-mixing.ini"
+    path.write_text(GOOD.replace("dimension = 6", "dimension = 128"))
+    need = experiments._charge(experiments.parse_config(str(path)))[0]
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     monkeypatch.setattr(cli, "run_experiment", refuse)
-    path = tmp_path / "big-mixing.ini"
-    path.write_text(GOOD.replace("dimension = 6", "dimension = 128"))
     assert main(["--out", str(tmp_path), "run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error: experiment.dimension:" in err and "physical memory" in err

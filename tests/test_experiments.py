@@ -151,9 +151,9 @@ def test_grid_is_integer_only_for_rounded_kinds():
 
 
 def test_size_check_counts_live_dense_matrices(monkeypatch):
-    # physical memory of exactly nine 100 x 100 complex matrices admits a
-    # gapped zeno channel of system_dim = 10, not 11
-    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MATRICES * 10**4}
+    # physical memory of exactly nine 100 x 100 complex matrices, plus the
+    # fixed allowance, admits a gapped zeno channel of system_dim = 10, not 11
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": experiments._FIXED_BYTES + 16 * experiments._LIVE_MATRICES * 10**4}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     gapped = MINI_ZENO.replace("eta_re = 0.5", "type = gapped\nsystem_dim = 10")
     assert parse_config_text(gapped).system_dim == 10
@@ -166,9 +166,13 @@ def test_size_check_counts_live_dense_matrices(monkeypatch):
 
 def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
     # memory for exactly _LIVE_MIXING_ARRAYS (S + 1) d x d complex arrays at
-    # d = 100 and S = 2 admits d = 100, not d = 101 or a third state; a zeno
-    # run of that size holds more arrays per state, so it is charged more
-    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": experiments._LIVE_MIXING_ARRAYS * 3 * 100**2}
+    # d = 100 and S = 2, the images of a one-point group (a point's images
+    # take 312 KiB) and the fixed allowance admits d = 100, not d = 101 or a
+    # third state; a zeno run of that size holds more arrays per state, so it
+    # is charged more
+    assert experiments._group_points(100, 2) == 1
+    arrays = experiments._LIVE_MIXING_ARRAYS * 3 + experiments._LIVE_IMAGES * 2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": experiments._FIXED_BYTES + 16 * arrays * 100**2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     mixing = MINI_MIXING.replace("dimension = 8", "dimension = 100")
     assert parse_config_text(mixing).dimension == 100
@@ -185,14 +189,18 @@ def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
 @pytest.mark.parametrize("kind", ["zeno", "damping"])
 def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind):
     # memory for exactly what an attenuator run holds at d = 100 with two
-    # states admits d = 100, not d = 101 or a third state: zeno some d x d
-    # arrays per state plus one (its kernel's plan among them), damping the
-    # work buffers and coefficients of its 24 nodes, d x d arrays per state
-    # plus one
+    # states, in one-point groups, admits d = 100, not d = 101 or a third
+    # state: zeno some d x d arrays per state plus one (its kernel's plan
+    # among them) and per point, damping the work buffers and coefficients of
+    # its 24 nodes, d x d arrays per state plus one, and the group's images;
+    # both plus the fixed allowance
     d = 100
-    live = experiments._LIVE_ZENO_ARRAYS if kind == "zeno" else experiments._LIVE_DAMPING_ARRAYS
-    entries = live * 3 * d**2
-    pages = {"SC_PAGE_SIZE": 16, "SC_PHYS_PAGES": entries}
+    assert experiments._group_points(d, 2) == 1
+    if kind == "zeno":
+        arrays = experiments._LIVE_ZENO_ARRAYS * 3 + experiments._ZENO_POINT_ARRAYS
+    else:
+        arrays = experiments._LIVE_DAMPING_ARRAYS * 3 + experiments._LIVE_IMAGES * 2
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": experiments._FIXED_BYTES + 16 * arrays * d**2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace("dimension = 10", f"dimension = {d}")
     assert parse_config_text(text).dimension == d
@@ -476,9 +484,12 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
             tracemalloc.stop()
 
     assert peak() <= experiments._charge(cfg)[0]
-    # both kernels take the batch of states third; the stand-in returns it
-    kernel = "zeno_action" if kind == "zeno" else "damped_action"
-    monkeypatch.setattr(experiments, kernel, lambda *args: np.asarray(args[2]))
+    # both kernels take the batch of states third; the stand-in returns it,
+    # once per grid point that zeno_action is given
+    if kind == "zeno":
+        monkeypatch.setattr(experiments, "zeno_action", lambda ns, t, batch, *rest: np.stack([batch] * len(ns)))
+    else:
+        monkeypatch.setattr(experiments, "damped_action", lambda gamma, t, batch, *rest: np.asarray(batch))
     assert peak() <= 16 * d**4 / 10
 
 
@@ -533,6 +544,51 @@ def test_damping_at_d128_parses_on_8_gib_and_matches_closed_form(monkeypatch):
     charge = np.subtract.outer(np.arange(d), np.arange(d))
     exact = attenuator_deviation(np.exp(-row.parameter * t), (x * np.exp(-1j * t * s * charge))[None])
     assert abs(row.error - trace_norm(exact[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["zeno", "damping"])
+def test_small_runs_stay_within_their_charge(kind):
+    # at d = 8 an array is 1 KiB, and what does not grow with d outweighs a
+    # few of them: the charge's fixed allowance covers it, and a zeno run is
+    # charged for the states of its whole group of grid points
+    text = (
+        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
+        .replace("dimension = 10", "dimension = 8")
+        .replace("count = 5", "count = 10")
+        .replace("fock:1, coherent:0.5", "fock:1, fock:3, random:0, random:1")
+    )
+    cfg = parse_config_text(text)
+    run_experiment(cfg)  # lazy imports and caches settle first
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._charge(cfg)[0]
+
+
+@pytest.mark.parametrize("d, points", [(16, [10]), (24, [4, 4, 2]), (32, [2] * 5), (96, [1] * 10), (128, [1] * 10)])
+def test_sweep_groups_grid_points_whose_images_fit_the_budget(monkeypatch, d, points):
+    # the sweep hands zeno_action as many consecutive grid points as fit the
+    # group budget with 3 states, and one point per call at large d, where a
+    # point's images alone fill the budget
+    def recorded(ns, t, batch, *rest):
+        groups.append(list(ns))
+        return np.zeros((len(ns),) + np.shape(batch), dtype=complex)
+
+    groups = []
+    monkeypatch.setattr(experiments, "zeno_action", recorded)
+    text = (
+        MINI_ZENO.replace("dimension = 10", f"dimension = {d}")
+        .replace("count = 5", "count = 10")
+        .replace("fock:1, coherent:0.5", "fock:1, random:0, random:1")
+    )
+    cfg = parse_config_text(text)
+    rows = run_experiment(cfg)
+    assert [len(g) for g in groups] == points
+    assert [n for g in groups for n in g] == cfg.grid()
+    assert len(rows) == 3 * cfg.grid_count
 
 
 @pytest.mark.parametrize("d, specs", [(8, "random:0"), (24, "fock:1, coherent:0.5, random:0")])
@@ -612,17 +668,18 @@ def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):
     steps = []
     apply_once = channels._attenuator_apply
 
-    def counted(products, x):
+    def counted(plan, x, capacity=0):
         steps.append(len(x))
-        return apply_once(products, x)
+        return apply_once(plan, x, capacity)
 
     monkeypatch.setattr(channels, "_attenuator_apply", counted)
     generator = _generator(cfg, cfg.dimension)
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
-    for n in cfg.grid():
-        zeno_action(n, cfg.t, states, cfg.eta, generator)
-    assert len(steps) == sum(cfg.grid())
-    monkeypatch.setattr(experiments, "_STEP_BUDGET", len(steps) - 1)
+    # one call for the grid, as the sweep makes it: with one state, each
+    # step's batch holds one state per count still stepping
+    zeno_action(cfg.grid(), cfg.t, states, cfg.eta, generator)
+    assert len(steps) == max(cfg.grid()) and sum(steps) == sum(cfg.grid())
+    monkeypatch.setattr(experiments, "_STEP_BUDGET", sum(steps) - 1)
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert err.value.field == "grid.start" and "steps" in str(err.value)
@@ -751,12 +808,13 @@ count = 4
 
 
 def test_wall_time_covers_each_grid_point(monkeypatch):
-    # each zeno grid point takes one zeno_action call; slowing it by 20 ms
-    # shows in every row, an even share of it per state, and the rows never
-    # add up to more than the run
-    def slow_action(*args, **kwargs):
-        time.sleep(0.02)
-        return zeno_action(*args, **kwargs)
+    # a group of zeno grid points takes one zeno_action call; slowing it by
+    # 20 ms per point it is given shows in every row, an even share of its
+    # group's time per point and state, and the rows never add up to more
+    # than the run
+    def slow_action(points, *args, **kwargs):
+        time.sleep(0.02 * len(points))
+        return zeno_action(points, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "zeno_action", slow_action)
     started = time.perf_counter()

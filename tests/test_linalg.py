@@ -139,6 +139,35 @@ def test_trace_norm_takes_eigenvalues_of_an_exactly_hermitian_matrix(monkeypatch
     assert abs(trace_norm(a) - singular) <= 1e-14 * singular
 
 
+def matrix_trace_norm(m) -> float:
+    """One matrix's trace norm as a lone call takes it: sum |eigvalsh| if exactly Hermitian, else the SVD."""
+    if np.array_equal(m, m.conj().T):
+        return float(np.abs(np.linalg.eigvalsh(m)).sum())
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("kinds", ["hhhh", "nnn", "hnhnnh", "n", "h"])
+@pytest.mark.parametrize("d", [1, 3, 24])
+def test_trace_norm_of_a_stack_equals_each_matrix_bit_for_bit(kinds, d):
+    # a stack takes one eigvalsh call for its Hermitian matrices and one SVD
+    # call for the rest; neither may move a norm by an ulp, and a lone matrix
+    # still gives a float
+    mats = []
+    for kind in kinds:
+        g = rand_complex(d)
+        mats.append(g + g.conj().T if kind == "h" else g)
+    stack = np.stack(mats)
+    norms = trace_norm(stack)
+    assert isinstance(norms, np.ndarray) and norms.shape == (len(kinds),)
+    for m, norm in zip(stack, norms):
+        alone = trace_norm(m)
+        assert type(alone) is float
+        assert alone == norm == matrix_trace_norm(m)
+    for bad in (np.zeros((2, 3, 4)), np.zeros((2, 2, 2, 2)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            trace_norm(bad)
+
+
 def test_trace_norm_hermitian_test_reads_the_imaginary_parts(monkeypatch):
     # a complex symmetric matrix has a symmetric real part and is not
     # Hermitian: eigvalsh of its lower triangle would give 2, not 2 sqrt(2)
