@@ -207,7 +207,9 @@ def _attenuator_plan(eta: complex, d: int) -> tuple:
 
     Returns ``(tables, tiles)``.  A tile is ``(rows, cols, C, k, shift,
     scales)``; the diagonal tiles keep their scales, the others, ``None``,
-    form them per call, so that the plan holds ``O(d^2)`` entries.
+    form them per call, so that the plan holds ``O(d^2)`` entries.  Only the
+    out-scales and ``C`` depend on ``eta``: the diagonal tiles' gauges and
+    in-scales come from :func:`_diagonal_scales`, cached per ``d``.
     """
     eta = complex(eta)
     if abs(eta) > 1 + 1e-12:
@@ -222,13 +224,13 @@ def _attenuator_plan(eta: complex, d: int) -> tuple:
     mc, ec = _binary_powers(1.0 - keep, d)
     mc, ec = _binary(mc / mf, ec - ef)
     tiles = []
+    diagonal = _diagonal_scales(d)
     blocks = [slice(i, min(i + _BLOCK, d)) for i in range(0, d, _BLOCK)]
     for b, rows in enumerate(blocks):
         for cols in blocks[b:]:
             lag, width, height = cols.start - rows.start, cols.stop - cols.start, rows.stop - rows.start
             if not lag:
-                top = rows.start + width
-                gauge = round((lgamma(rows.start + 1) - lgamma(top)) / ((width - 1) * log(2))) if width > 1 else 0
+                gauge, ins = diagonal[b]
             elif keep == 1.0:
                 continue  # c_l = 0 for every l >= 1
             else:
@@ -239,31 +241,65 @@ def _attenuator_plan(eta: complex, d: int) -> tuple:
             exponent = np.where(l >= 0, ec[np.maximum(l, 0)], _ZERO) - gauge * (l - lag)
             shift = int(exponent.max())
             toeplitz = np.ldexp(mc[np.maximum(l, 0)] * (l >= 0), np.maximum(exponent - shift, _FLOOR_EXP))
-            scales = None if lag else _tile_scales(tables, rows, cols, gauge, shift)
+            scales = None if lag else _tile_scales(tables, rows, cols, gauge, shift, ins)
             tiles.append((rows, cols, toeplitz, gauge, shift, scales))
     return tables, tiles
 
 
-def _tile_scales(tables, rows: slice, cols: slice, gauge: int, shift: int) -> tuple:
-    """The real in-scale ``(cols, d - cols.start)`` and complex out-scale ``(rows, d - cols.start)`` of a tile.
+def _scale_in(ms, es_in, d: int, cols: slice, gauge: int) -> tuple:
+    """``(scale_in, sigma)``: the real in-scale ``(cols, d - cols.start)`` of a tile and its largest exponent per charge.
 
-    In-scale ``s_{j+q} s_j 2^{k (j - j_0) - sigma_q}``, with ``sigma_q`` its
-    largest exponent; out-scale ``|eta|^{q+2n} e^{i q arg eta} 2^{-k (n -
-    n_0) + sigma_q + shift} / (s_{n+q} s_n)``; each zero past level ``d - 1``.
+    In-scale ``s_{j+q} s_j 2^{k (j - j_0) - sigma_q}`` from the level tables
+    of :func:`_binary_levels`, each zero past level ``d - 1``; it does not
+    depend on ``eta``, only on the gauge ``k``.
     """
-    ms, es_in, es_out, mp, ep, phase = tables
-    charges = np.arange(len(phase) - cols.start)
-    j, n = np.arange(cols.start, cols.stop), np.arange(rows.start, rows.stop)
+    charges = np.arange(d - cols.start)
+    j = np.arange(cols.start, cols.stop)
     top = j[:, None] + charges
     exponent = es_in[top] + (es_in[j] + gauge * (j - j[0]))[:, None]
     sigma = exponent.max(axis=0)
     exponent -= sigma
-    scale_in = np.ldexp(ms[top] * ms[j, None], np.maximum(exponent, _FLOOR_EXP))
+    return np.ldexp(ms[top] * ms[j, None], np.maximum(exponent, _FLOOR_EXP)), sigma
+
+
+@lru_cache(maxsize=4)
+def _diagonal_scales(d: int) -> tuple:
+    """Per block of levels, ``(gauge, (scale_in, sigma))`` of its diagonal tile, which do not depend on ``eta``.
+
+    The gauge is minus the mean ``log2`` of the block's levels (see
+    :func:`_attenuator_plan`); the arrays are read-only.
+    """
+    _, _, ms, es_in, _ = _binary_levels(d)
+    out = []
+    for start in range(0, d, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, d))
+        width = cols.stop - start
+        gauge = round((lgamma(start + 1) - lgamma(start + width)) / ((width - 1) * log(2))) if width > 1 else 0
+        ins = _scale_in(ms, es_in, d, cols, gauge)
+        for table in ins:
+            table.flags.writeable = False
+        out.append((gauge, ins))
+    return tuple(out)
+
+
+def _tile_scales(tables, rows: slice, cols: slice, gauge: int, shift: int, ins=None) -> tuple:
+    """The real in-scale ``(cols, d - cols.start)`` and complex out-scale ``(rows, d - cols.start)`` of a tile.
+
+    The in-scale and its offsets ``sigma_q`` are those of :func:`_scale_in`,
+    or ``ins`` where the caller holds them; out-scale ``|eta|^{q+2n} e^{i q
+    arg eta} 2^{-k (n - n_0) + sigma_q + shift} / (s_{n+q} s_n)``, each zero
+    past level ``d - 1``.
+    """
+    ms, es_in, es_out, mp, ep, phase = tables
+    d = len(phase)
+    scale_in, sigma = ins or _scale_in(ms, es_in, d, cols, gauge)
+    charges = np.arange(d - cols.start)
+    n = np.arange(rows.start, rows.stop)
     top = n[:, None] + charges
     exponent = ep[top + n[:, None]] - es_out[top] - (es_out[n] + gauge * (n - n[0]))[:, None]
     exponent += sigma + shift
     if exponent.max() > 1000:
-        raise ValueError(f"the attenuator plan at d = {len(phase)} leaves the float range")
+        raise ValueError(f"the attenuator plan at d = {d} leaves the float range")
     mant = mp[top + n[:, None]] / (ms[top] * ms[n, None])
     return scale_in, np.ldexp(mant, np.maximum(exponent, _FLOOR_EXP)) * phase[charges]
 
@@ -271,9 +307,8 @@ def _tile_scales(tables, rows: slice, cols: slice, gauge: int, shift: int) -> tu
 @lru_cache(maxsize=4)
 def _charge_layout(d: int, s: int) -> tuple:
     """Flat indices from a ``(S, d, d)`` batch to its diagonals ``z[j, k, q] = x[k, j + q, j]`` and back, and ``sign(m - n)``."""
-    index = np.int32 if s * d * d < 2**31 else np.int64
-    levels = np.arange(d, dtype=index)
-    states = np.arange(s, dtype=index)[:, None]
+    levels = np.arange(d, dtype=np.intp)
+    states = np.arange(s, dtype=np.intp)[:, None]
     top = levels[:, None] + levels
     gather = np.where(top < d, top * d + levels[:, None], 0)[:, None, :] + d * d * states
     scatter = np.minimum.outer(levels, levels) * (s * d) + np.abs(levels[:, None] - levels) + d * states[:, :, None]
@@ -437,7 +472,11 @@ def attenuator_deviation(eta: complex, ops) -> np.ndarray:
     so a deviation far below 1 keeps its relative precision instead of
     rounding at ``1 - |eta|^2``.  The result is exactly Hermitian.
     """
-    x = _hermitian_batch(ops, "attenuator_deviation")
+    return _attenuator_deviation(eta, _hermitian_batch(ops, "attenuator_deviation"))
+
+
+def _attenuator_deviation(eta: complex, x: np.ndarray) -> np.ndarray:
+    """:func:`attenuator_deviation` of a complex ``(S, d, d)`` batch that the caller has checked Hermitian."""
     d = x.shape[1]
     out = _attenuator_apply(_attenuator_plan(eta, d), x)
     keep = min(abs(complex(eta)) ** 2, 1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .experiments import (
     ConfigError,
@@ -24,7 +25,9 @@ from .experiments import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: each ``parse_args`` returns a fresh namespace and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="zenolab",
         description="Numerical sweeps for mixing, Zeno and strong-damping limits.",
@@ -52,7 +55,7 @@ def _resolve_config(arg: str):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "presets":
             for name, desc in list_presets():

@@ -22,15 +22,15 @@ import numpy as np
 from . import binomial as bn
 from .channels import (
     Generator,
+    _attenuator_deviation,
+    _hermitian_batch,
     apply,
     attenuator_check,
-    attenuator_deviation,
-    attenuator_mixing_bound,
     damped_action,
     damping_substeps,
     zeno_action,
 )
-from .fock import annihilation, coherent_vector, number_operator
+from .fock import annihilation, coherent_vector, number_operator, particle_number
 from .linalg import devectorize, matrix_exp, trace_norm, vectorize
 from .sampling import (
     random_density_matrix,
@@ -114,8 +114,11 @@ _LIVE_MIXING_ARRAYS = 7
 # point plus one, and each point's e^{tL/n} and its adjoint, twice while the
 # group shrinks.  Peaks at d = 8 to 64 with 1 to 8 states and groups of 1 to
 # 10 points held 8.3 to 10.0 arrays per state and point plus one, once the
-# points' own are taken off.
-_LIVE_ZENO_ARRAYS = 10
+# points' own are taken off, with the kernel's index tables already built.
+# Built in the run, those take one more: a gather and a scatter index of 8
+# bytes per entry of each state and point (peaks of up to 1.004 times the
+# charge with 10).
+_LIVE_ZENO_ARRAYS = 11
 _ZENO_POINT_ARRAYS = 4
 # A damping run holds damped_action's four work buffers over its 24 contour
 # nodes (96 per state) and the coefficients of one substep length (about 50).
@@ -554,18 +557,22 @@ def _fitted(rows, fit_model: str) -> list:
 
 
 def _run_mixing(cfg: ExperimentConfig) -> list:
+    # The kernel reads lower triangles only: the batch is checked Hermitian
+    # once, before the sweep, and every grid point takes the unchecked kernel.
     _, d = _state_dim(cfg)
     states = build_states(cfg, d)
+    _hermitian_batch([rho for _, rho in states], "attenuator_deviation")
 
     def act(points, batch):
         # Phi^n is the channel at eta^n (semigroup property).  The polar form
         # keeps |eta^n| to about an ulp; ``eta**n`` squares its way to n/2 ulp.
         etas = [cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta)) for n in points]
-        return np.stack([attenuator_deviation(eta_n, batch) for eta_n in etas])
+        return np.stack([_attenuator_deviation(eta_n, batch) for eta_n in etas])
 
-    rho = dict(states)
+    # attenuator_mixing_bound's 4 |eta|^n Tr((N + 1) rho), in its order, with Tr((N + 1) rho) once per state
+    weights = {state_id: particle_number(rho) + float(np.trace(rho).real) for state_id, rho in states}
     return [
-        replace(r, bound=attenuator_mixing_bound(cfg.eta, int(r.parameter), rho[r.state_id]))
+        replace(r, bound=4.0 * abs(cfg.eta) ** int(r.parameter) * weights[r.state_id])
         for r in _sweep(cfg, act, states)
     ]
 

@@ -145,6 +145,8 @@ def test_attenuator_deviation_matches_dense_superoperator(d, radius, angle, n, l
 def test_attenuator_deviation_batch_and_contract():
     states = np.stack([rand_state(9), fock_projector(4, 9), rand_state(9, support=3)])
     batch = attenuator_deviation(0.6 - 0.2j, states)
+    # the unchecked core the mixing sweep calls on a batch it has checked
+    assert np.array_equal(channels._attenuator_deviation(0.6 - 0.2j, states), batch)
     for rho, dev in zip(states, batch):
         assert np.array_equal(attenuator_deviation(0.6 - 0.2j, rho[None])[0], dev)
         assert abs(np.trace(dev)) <= 1e-15  # trace preserving, minus a trace-preserving limit
@@ -237,6 +239,26 @@ def test_attenuator_plan_keeps_its_scales_in_range_at_d2000(eta):
         scale_in, scale_out = scales or channels._tile_scales(tables, rows, cols, gauge, shift)
         assert np.abs(toeplitz).max() < 1 and np.abs(scale_in).max() < 1
         assert np.abs(scale_out).max() < 2.0**300
+
+
+@pytest.mark.parametrize("d", [24, 200])
+def test_attenuator_plan_caches_only_what_eta_leaves_alone(d):
+    # the diagonal tiles' gauges and in-scales depend on d alone: one
+    # read-only build serves every eta, and a tile's scales equal those built
+    # afresh; the kernel's index tables are stored as np.take reads them
+    channels._diagonal_scales.cache_clear()
+    cached = channels._diagonal_scales(d)
+    for eta in (0.0, 0.5, 0.6 + 0.3j, 1.0):
+        tables, tiles = channels._attenuator_plan(eta, d)
+        diagonal = [tile for tile in tiles if tile[0] == tile[1]]
+        assert len(diagonal) == len(cached)
+        for (rows, cols, _, gauge, shift, scales), (own_gauge, (scale_in, _)) in zip(diagonal, cached):
+            assert gauge == own_gauge and scales[0] is scale_in and not scale_in.flags.writeable
+            fresh = channels._tile_scales(tables, rows, cols, gauge, shift)
+            assert all(np.array_equal(a, b) for a, b in zip(scales, fresh))
+    assert channels._diagonal_scales.cache_info().misses == 1
+    gather, scatter, _ = channels._charge_layout(d, 3)
+    assert gather.dtype == scatter.dtype == np.intp
 
 
 @settings(max_examples=40, deadline=None)

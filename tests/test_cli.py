@@ -235,8 +235,54 @@ def test_percent_in_a_config_value_is_literal(tmp_path, exp_id):
         assert {r["experiment_id"] for r in csv.DictReader(handle)} == {exp_id}
 
 
-def test_threads_flag_is_gone(tmp_path):
+def test_threads_flag_is_gone(tmp_path, capsys):
+    # after a successful run in the same process: the parser is built once and reused
+    assert main(["--out", str(tmp_path / "ok"), "run", "simplex-bounds"]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path), "--threads", "2", "run", "attenuator-mixing"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zenolab") and "zenolab: error: argument command: invalid choice: '2'" in err
     assert not (tmp_path / "attenuator-mixing.csv").exists()
+
+
+def test_seed_override_lasts_one_call(tmp_path, monkeypatch):
+    # the parser is built once per process, and each call parses into a
+    # fresh namespace: a run without --seed after one with it takes the
+    # config's seed (4)
+    seeds = []
+    run = cli.run_experiment
+
+    def recorded(cfg):
+        seeds.append(cfg.seed)
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    cfg = tmp_path / "mix.ini"
+    cfg.write_text(GOOD)
+    assert main(["--out", str(tmp_path), "--seed", "5", "run", str(cfg)]) == 0
+    assert main(["--out", str(tmp_path), "run", str(cfg)]) == 0
+    assert seeds == [5, 4]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_non_hermitian_mixing_state_exits_3_before_its_first_grid_point(tmp_path, capsys, monkeypatch):
+    # a mixing run checks its batch once, before the sweep; the grid points
+    # take the unchecked kernel, which reads lower triangles only
+    build = experiments.build_states
+
+    def skewed(cfg, dim):
+        states = build(cfg, dim)
+        states[1][1][0, dim - 1] += 1e-6
+        return states
+
+    def refuse(*args):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(experiments, "build_states", skewed)
+    monkeypatch.setattr(experiments, "_attenuator_deviation", refuse)
+    path = tmp_path / "mix.ini"
+    path.write_text(GOOD)
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 3
+    assert "invariant violation: mixing: attenuator_deviation requires Hermitian operators" in capsys.readouterr().err
+    assert not (tmp_path / "cli-mixing.csv").exists()

@@ -431,6 +431,23 @@ def test_mixing_runs_without_a_superoperator(monkeypatch):
     assert peak <= 16 * d**4 / 10  # a tenth of one d^2 x d^2 complex matrix
 
 
+def test_mixing_run_checks_its_batch_once(monkeypatch):
+    # the 7 grid points take the unchecked kernel on the batch checked once
+    calls = []
+    check = channels._hermitian_batch
+
+    def counted(ops, caller):
+        calls.append(caller)
+        return check(ops, caller)
+
+    monkeypatch.setattr(channels, "_hermitian_batch", counted)
+    monkeypatch.setattr(experiments, "_hermitian_batch", counted)
+    cfg = preset_config("attenuator-mixing")
+    rows = run_experiment(cfg)
+    assert cfg.grid_count == 7 and len(rows) == 7 * len(cfg.state_specs)
+    assert calls == ["attenuator_deviation"]
+
+
 def test_run_zeno_produces_fits_and_envelope():
     rows = run_experiment(parse_config_text(MINI_ZENO))
     assert len(rows) == 5 * 2
@@ -550,22 +567,27 @@ def test_damping_at_d128_parses_on_8_gib_and_matches_closed_form(monkeypatch):
 def test_small_runs_stay_within_their_charge(kind):
     # at d = 8 an array is 1 KiB, and what does not grow with d outweighs a
     # few of them: the charge's fixed allowance covers it, and a zeno run is
-    # charged for the states of its whole group of grid points
-    text = (
-        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
-        .replace("dimension = 10", "dimension = 8")
-        .replace("count = 5", "count = 10")
-        .replace("fock:1, coherent:0.5", "fock:1, fock:3, random:0, random:1")
-    )
-    cfg = parse_config_text(text)
-    run_experiment(cfg)  # lazy imports and caches settle first
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= experiments._charge(cfg)[0]
+    # charged for the states of its whole group of grid points and for the
+    # kernel's index tables, built in the run (at d = 16 they took a zeno
+    # run 0.4% past a charge without them)
+    for d in (8, 16):
+        text = (
+            MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
+            .replace("dimension = 10", f"dimension = {d}")
+            .replace("count = 5", "count = 10")
+            .replace("fock:1, coherent:0.5", "fock:1, fock:3, random:0, random:1")
+        )
+        cfg = parse_config_text(text)
+        run_experiment(cfg)  # lazy imports settle first
+        for cached in (channels._charge_layout, channels._diagonal_scales, channels._binary_levels):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= experiments._charge(cfg)[0]
 
 
 @pytest.mark.parametrize("d, points", [(16, [10]), (24, [4, 4, 2]), (32, [2] * 5), (96, [1] * 10), (128, [1] * 10)])
