@@ -142,12 +142,8 @@ def _expansion_coefficients(m, scaled, n: int, k_max: int, seed) -> list:
     return coeffs
 
 
-def expansion_terms(m, l_n, n: int, k_max: int) -> list:
-    """The order-k pieces y_{n,k} of (M + L_n/n)^n for k = 0..k_max.
-
-    y_{n,0} = M^n and sum_k y_{n,k} with k_max = n reproduces the full
-    product.  Cost is O(n * k_max) matrix products.
-    """
+def _expansion_operands(m, l_n, n: int, k_max: int) -> tuple:
+    """``(M, L_n)`` as matrices, once both are square of one shape and ``1 <= n``, ``k_max <= n``."""
     m = as_matrix(m)
     l_n = as_matrix(l_n)
     if m.shape != l_n.shape or m.shape[0] != m.shape[1]:
@@ -156,16 +152,23 @@ def expansion_terms(m, l_n, n: int, k_max: int) -> list:
         raise ValueError("n must be >= 1")
     if k_max > n:
         raise ValueError(f"k_max={k_max} exceeds n={n}")
+    return m, l_n
+
+
+def expansion_terms(m, l_n, n: int, k_max: int) -> list:
+    """The order-k pieces y_{n,k} of (M + L_n/n)^n for k = 0..k_max.
+
+    y_{n,0} = M^n and sum_k y_{n,k} with k_max = n reproduces the full
+    product.  Cost is O(n * k_max) matrix products.
+    """
+    m, l_n = _expansion_operands(m, l_n, n, k_max)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     return _expansion_coefficients(m, l_n / n, n, k_max, eye)
 
 
 def expansion_terms_applied(m, l_n, n: int, k_max: int, vector) -> list:
     """y_{n,k} @ vector for k = 0..k_max, by vector-mode polynomial arithmetic."""
-    m = as_matrix(m)
-    l_n = as_matrix(l_n)
-    if k_max > n:
-        raise ValueError(f"k_max={k_max} exceeds n={n}")
+    m, l_n = _expansion_operands(m, l_n, n, k_max)
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     return _expansion_coefficients(m, l_n / n, n, k_max, v)
 

@@ -818,26 +818,15 @@ def apply(op, x) -> np.ndarray:
 
 def choi_matrix(op) -> np.ndarray:
     """Choi matrix sum_{ij} |i><j| kron Phi(|i><j|), for dim <= 32."""
+    if not isinstance(op, (KrausChannel, Superoperator)):
+        raise TypeError(f"cannot form Choi matrix of {type(op).__name__}")
+    d = op.dim
+    if d > CHOI_MAX_DIM:
+        raise ValueError(f"choi_matrix limited to dim <= {CHOI_MAX_DIM}, got {d}")
     if isinstance(op, KrausChannel):
-        d = op.dim
-        if d > CHOI_MAX_DIM:
-            raise ValueError(f"choi_matrix limited to dim <= {CHOI_MAX_DIM}, got {d}")
-        return sum(
-            np.outer(vectorize(k), vectorize(k).conj()) for k in op.kraus_ops
-        )
-    if isinstance(op, Superoperator):
-        d = op.dim
-        if d > CHOI_MAX_DIM:
-            raise ValueError(f"choi_matrix limited to dim <= {CHOI_MAX_DIM}, got {d}")
-        choi = np.zeros((d * d, d * d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                unit = np.zeros((d, d), dtype=np.complex128)
-                unit[i, j] = 1.0
-                block = apply(op, unit)
-                choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-        return choi
-    raise TypeError(f"cannot form Choi matrix of {type(op).__name__}")
+        return sum(np.outer(vectorize(k), vectorize(k).conj()) for k in op.kraus_ops)
+    # block (i, j) is Phi(|i><j|): entry (a, b) of it is matrix[b d + a, j d + i]
+    return op.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_completely_positive(op, tol: float = 1e-10) -> bool:

@@ -22,6 +22,7 @@ import numpy as np
 from . import binomial as bn
 from .channels import (
     Generator,
+    Superoperator,
     _attenuator_deviation,
     _hermitian_batch,
     apply,
@@ -31,7 +32,7 @@ from .channels import (
     zeno_action,
 )
 from .fock import annihilation, coherent_vector, number_operator, particle_number
-from .linalg import devectorize, matrix_exp, trace_norm, vectorize
+from .linalg import devectorize, trace_norm, vectorize
 from .sampling import (
     random_density_matrix,
     random_gapped_channel,
@@ -97,8 +98,8 @@ _GROUP_BYTES = 128 * 2**10
 # arrays (a zeno run at d = 2 with one state).
 _FIXED_BYTES = 64 * 2**10
 # The gapped zeno channel and the binomial kind hold dense d^2 x d^2
-# matrices: at most 9, from peaks at d = 16 and 20 of 6.6 to 7.4 for zeno
-# and 8.3 for the gapped binomial kind.
+# matrices: at most 9, from peaks at d = 12 to 20 of 7.0 for zeno and 8.0
+# to 8.1 for the binomial kind in either mode.
 _LIVE_MATRICES = 9
 # Every other kind holds d x d arrays only.  The sweep stacks a group's
 # images, which trace_norm copies: up to 3 arrays per state and point of a
@@ -284,6 +285,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     binomial_dim = values.pop("binomial_system_dim")
     if values["kind"] == "binomial" and binomial_dim is not None:
         values["system_dim"] = binomial_dim
+    if values["channel_type"] == "gapped" and values["kind"] != "zeno":
+        raise ConfigError("channel.type", f"gapped is for the zeno kind only, not {values['kind']}")
     if values["grid_count"] > 1 and values["grid_factor"] <= 1:
         raise ConfigError("grid.factor", f"must be > 1 for an increasing grid, got {values['grid_factor']}")
 
@@ -639,24 +642,22 @@ def _run_damping(cfg: ExperimentConfig) -> list:
 
 
 def _run_binomial(cfg: ExperimentConfig) -> list:
+    # The target is the limit e^{PLP} P: with M = P = I it is e^L.
     _, s = _state_dim(cfg)
     if cfg.binomial_mode == "exp-limit":
-        m_mat = np.eye(s * s, dtype=np.complex128)
-        l_mat = random_operator(s * s, stream(cfg.seed, _STREAM_BINOMIAL), norm=0.9)
-        target = matrix_exp(l_mat)
-        fit_model = "pure_power"
+        m = p = Superoperator(matrix=np.eye(s * s, dtype=np.complex128))
+        norm, fit_model = 0.9, "pure_power"
     else:
         m, p, _ = random_gapped_channel(s, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
-        m_mat = m.matrix
-        l_mat = random_operator(s * s, stream(cfg.seed, _STREAM_BINOMIAL), norm=0.5)
-        target = matrix_exp(p.matrix @ l_mat @ p.matrix) @ p.matrix
-        fit_model = "power_log"
+        norm, fit_model = 0.5, "power_log"
+    l_mat = random_operator(s * s, stream(cfg.seed, _STREAM_BINOMIAL), norm=norm)
+    target = effective_dynamics(p, Superoperator(matrix=l_mat), 1.0).matrix
     states = build_states(cfg, s)
 
     def act(points, batch):
         images = []
         for n in points:
-            diff = bn.binomial_product(m_mat, l_mat, n) - target
+            diff = bn.binomial_product(m.matrix, l_mat, n) - target
             # one product per state: a batched product would sum in another order
             images.append([devectorize(diff @ vectorize(rho)) for rho in batch])
         return np.array(images)
@@ -774,15 +775,14 @@ print(f"wrote {{OUT_PATH}}")
 '''
 
 
-def emit_plot_script(csv_path: str, out_path: str | None = None) -> str:
-    """Write a self-contained matplotlib script next to the CSV."""
+def emit_plot_script(csv_path: str) -> str:
+    """Write ``<stem>_plot.py``, a self-contained matplotlib script, next to the CSV."""
     if not os.path.exists(csv_path):
         raise ConfigError("plot.csv", f"no such CSV file: {csv_path!r}")
-    if out_path is None:
-        out_path = os.path.splitext(csv_path)[0] + "_plot.py"
-    png_path = os.path.splitext(csv_path)[0] + ".png"
+    stem = os.path.splitext(csv_path)[0]
+    out_path = stem + "_plot.py"
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_PLOT_TEMPLATE.format(csv_path=csv_path, png_path=png_path))
+        handle.write(_PLOT_TEMPLATE.format(csv_path=csv_path, png_path=stem + ".png"))
     return out_path
 
 

@@ -13,8 +13,7 @@ on the whole remainder with the Paterson-Stockmeyer scheme (block size 3:
 ``x^2``, ``x^3`` and Horner's rule in ``x^3``, 7 products at the default
 tolerance instead of about 17 term by term), and squares ``s`` times.  The
 number of squarings, which sets the rounding error (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005), is the same as for term-by-term summation.  It holds
-at most four ``D x D`` work arrays.
+Anal. Appl. 26, 2005), is the same as for term-by-term summation.
 """
 
 from __future__ import annotations
@@ -115,16 +114,6 @@ def _taylor_degree(theta: float, threshold: float) -> int:
     return m
 
 
-def _add_block(acc: np.ndarray, x2: np.ndarray, a: np.ndarray, coeffs, spare: np.ndarray) -> None:
-    """In place ``acc += c2 x2 + c1 a + c0 I`` for ``coeffs = (c0, c1, c2)``; overwrites ``spare``."""
-    c0, c1, c2 = coeffs
-    np.multiply(x2, c2, out=spare)
-    acc += spare
-    np.multiply(a, c1, out=spare)
-    acc += spare
-    acc.reshape(-1)[:: acc.shape[0] + 1] += c0
-
-
 def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential by scaling and squaring of a Taylor polynomial.
 
@@ -146,14 +135,9 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
     is filled up to degree ``3r + 2``, which costs no product).  That takes
     ``2 + r`` products for ``r = m // 3``: 7 at the default ``tol`` and
     ``theta`` near 1/2, where summing term by term took about 17.  The
-    blocks take their ``x`` term as ``(c_{3j+1} 2**-s) a``, so the scaled
-    copy ``x`` is freed once ``x^2`` and ``x^3`` are formed.
+    blocks take their ``x`` term as ``(c_{3j+1} 2**-s) a``.
 
     Squaring: the polynomial is squared ``s`` times.
-
-    Memory: besides the input, at most four ``D x D`` work arrays are live
-    (``x^2``, ``x^3`` and two Horner buffers; the squarings ping-pong
-    between the two buffers).
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -174,16 +158,14 @@ def matrix_exp(a, tol: float = 1e-12) -> np.ndarray:
     x = a * scale if s else a  # read only, so no copy when unscaled
     x2 = x @ x
     x3 = x2 @ x if r else None
-    del x
+    # Horner's rule in x^3 from the top block down; adding in place keeps one temporary
     acc = np.zeros_like(x2)
-    spare = np.empty_like(x2)
-    _add_block(acc, x2, a, blocks[r], spare)
-    for j in range(r - 1, -1, -1):
-        np.matmul(acc, x3, out=spare)
-        acc, spare = spare, acc
-        _add_block(acc, x2, a, blocks[j], spare)
-    del x2, x3
+    for k, (c0, c1, c2) in enumerate(reversed(blocks)):
+        if k:
+            acc = acc @ x3
+        acc += c2 * x2
+        acc += c1 * a
+        acc.reshape(-1)[:: acc.shape[0] + 1] += c0
     for _ in range(s):
-        np.matmul(acc, acc, out=spare)
-        acc, spare = spare, acc
+        acc = acc @ acc
     return acc

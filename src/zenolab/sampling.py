@@ -32,17 +32,11 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, support: int | None = None) -> np.ndarray:
-    """Ginibre-induced density matrix, optionally supported on the lowest levels."""
-    s = dim if support is None else int(support)
-    if not 1 <= s <= dim:
-        raise ValueError(f"support must lie in [1, {dim}], got {s}")
-    g = _ginibre(s, rng)
-    block = g @ g.conj().T
-    block = block / np.trace(block).real
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[:s, :s] = block
-    return rho
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Ginibre-induced density matrix of full support."""
+    g = _ginibre(dim, rng)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:

@@ -151,6 +151,20 @@ def test_expansion_k_max_guard():
         expansion_terms(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 3, 4)
 
 
+@pytest.mark.parametrize(
+    "expand",
+    [expansion_terms, lambda m, l, n, k: expansion_terms_applied(m, l, n, k, np.ones(m.shape[0]))],
+    ids=["terms", "applied"],
+)
+def test_expansion_checks_its_operands(expand):
+    # one check for both: a power below one, and M and L_n of different shapes
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        expand(eye2, eye2, 0, 0)
+    with pytest.raises(ValueError, match="^M and L_n must be square with equal shape$"):
+        expand(eye2, eye3, 4, 1)
+
+
 def test_expansion_terms_match_enumeration_oracle():
     # dual route: polynomial extraction against the explicit simplex walk
     m = rand_complex(3)

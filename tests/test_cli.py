@@ -166,6 +166,16 @@ def test_oversized_config_exits_2_before_running(tmp_path, capsys, monkeypatch, 
     assert f"config error: {field}:" in err and "physical memory" in err
 
 
+@pytest.mark.parametrize("kind", ["mixing", "damping", "binomial"])
+def test_gapped_channel_outside_zeno_exits_2(tmp_path, capsys, kind):
+    # only the zeno kind reads channel.type; binomial picks its M by binomial.mode
+    path = tmp_path / "gapped.ini"
+    path.write_text(f"[experiment]\nkind = {kind}\ndimension = 8\n[channel]\ntype = gapped\n")
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    assert f"config error: channel.type: gapped is for the zeno kind only, not {kind}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_mixing_at_dimension_128_runs(tmp_path):
     # the dense estimate charged 9 * 16 * 128^4 bytes (38 GiB); mixing holds no superoperator
     cfg = tmp_path / "mix128.ini"

@@ -448,6 +448,20 @@ def test_mixing_run_checks_its_batch_once(monkeypatch):
     assert calls == ["attenuator_deviation"]
 
 
+def test_zeno_without_a_generator_reproduces_the_mixing_rows():
+    # with L = 0 the Zeno product (M e^{tL/n})^n is M^n, the mixing map
+    mixing = preset_config("attenuator-mixing")
+    text = PRESETS["attenuator-mixing"][1].replace("kind = mixing", "kind = zeno") + "\n[generator]\ntype = none\n"
+    zeno = parse_config_text(text)
+    assert zeno.generator_type == "none"
+    expected = run_experiment(mixing)
+    rows = run_experiment(zeno)
+    assert len(rows) == len(expected) == 28
+    for row, want in zip(rows, expected):
+        assert (row.parameter, row.state_id) == (want.parameter, want.state_id)
+        assert abs(row.error - want.error) <= 1e-13, row
+
+
 def test_run_zeno_produces_fits_and_envelope():
     rows = run_experiment(parse_config_text(MINI_ZENO))
     assert len(rows) == 5 * 2
@@ -588,6 +602,27 @@ def test_small_runs_stay_within_their_charge(kind):
         finally:
             tracemalloc.stop()
         assert peak <= experiments._charge(cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["[binomial]\nmode = exp-limit\nsystem_dim = 12", "[binomial]\nmode = gapped\nsystem_dim = 12", "[channel]\ntype = gapped\nsystem_dim = 12"],
+    ids=["binomial-exp-limit", "binomial-gapped", "zeno-gapped"],
+)
+def test_dense_runs_stay_within_their_charge(section):
+    # the dense kinds are charged _LIVE_MATRICES d^2 x d^2 matrices; matrix_exp's
+    # temporaries, on top of the run's M, P and L, set the peak (8.1 of them)
+    kind = "binomial" if section.startswith("[binomial]") else "zeno"
+    text = f"[experiment]\nkind = {kind}\nseed = 3\n{section}\n[grid]\nstart = 8\nfactor = 2\ncount = 4\n[states]\nspecs = random:0, random:1\n"
+    cfg = parse_config_text(text)
+    run_experiment(cfg)  # lazy imports settle first
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._charge(cfg)[0]
 
 
 @pytest.mark.parametrize("d, points", [(16, [10]), (24, [4, 4, 2]), (32, [2] * 5), (96, [1] * 10), (128, [1] * 10)])
@@ -790,7 +825,6 @@ id = mini-gap
 seed = 10
 
 [channel]
-type = gapped
 delta = 0.5
 
 [binomial]
