@@ -375,7 +375,7 @@ def attenuator_check(eta: complex, states, label: str = "M") -> None:
     ``||M P - P|| = sqrt(d) | |w_{0,0}|^2 - 1 |``.  That is ``O(d^2)``.
     Trace-norm contractivity is spot-checked on the Hermitian
     ``(state_id, matrix)`` pairs ``states`` through the Toeplitz kernel of
-    :func:`_attenuator_plan`, with the dense check's slack 1e-8.  A failed
+    :func:`_attenuator_plan`, by the dense check's :func:`_check_contractive`.  A failed
     check raises ValueError naming ``label``.
     """
     x = _hermitian_batch([rho for _, rho in states], "attenuator_check")
@@ -389,7 +389,11 @@ def attenuator_check(eta: complex, states, label: str = "M") -> None:
         raise ValueError(f"P {label} != P within 1e-9: the Kraus weights of level {j} sum to {sums[j]:.17g}")
     if np.sqrt(d) * abs(kept[0, 0] - 1.0) > 1e-9:
         raise ValueError(f"{label} P != P within 1e-9: the vacuum weight is {w[0, 0]}")
-    images = _attenuator_apply(_attenuator_plan(eta, d), x)
+    _check_contractive(states, _attenuator_apply(_attenuator_plan(eta, d), x), label)
+
+
+def _check_contractive(states, images, label: str) -> None:
+    """Raise ValueError naming ``label`` if an image has a larger trace norm than its state, past 1e-8."""
     for (state_id, rho), image in zip(states, images):
         before, after = trace_norm(rho), trace_norm(image)
         if after > before + 1e-8:
@@ -744,18 +748,12 @@ def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) 
         def evolve(y, u, u_dag):
             return u @ y @ u_dag
 
-    elif rate:
+    else:  # at rate 0 (no generator) the factor is exactly 1
         charge = np.subtract.outer(np.arange(d), np.arange(d))
         factors = [np.exp(-0.5 * (t / np.array(ns))[:, None, None, None] * rate * charge**2)]
 
         def evolve(y, factor):
             return y * factor
-
-    else:
-        factors = []
-
-        def evolve(y):
-            return y
 
     if isinstance(channel, Superoperator):
         if channel.dim != d:

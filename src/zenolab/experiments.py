@@ -152,7 +152,7 @@ class InvariantViolation(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config; :data:`_KEYS` holds each field's key, default and range check."""
+    """A parsed config; :data:`_KEYS` holds each field's key, readers, default and range check."""
 
     kind: str
     experiment_id: str
@@ -209,39 +209,51 @@ def _specs(raw: str) -> tuple:
 
 _REQUIRED = object()
 
-# Every config key, once: (section, key, field, cast, default, rule, message).
-# A present value is cast, refused if a non-finite float, and refused with
-# ``message.format(v=value)`` unless ``rule(value)``.  The rules that read
-# several keys, ``eta`` from its parts and the keys that default to another
-# key's value (``None`` here: id, binomial.system_dim) follow the loop.
+# The readers of a key: the kinds that read it, with zeno split by
+# channel.type into its two channels, "zeno/attenuator" and "zeno/gapped".
+_EVERY = ("mixing", "zeno/attenuator", "zeno/gapped", "damping", "binomial", "simplex")
+_ZENO = _EVERY[1:3]
+_STATES = _EVERY[:-1]  # the kinds with test states
+_EVOLVED = (*_ZENO, "damping")  # the kinds with a time t and a generator L
+_FOCK = ("mixing", "zeno/attenuator", "damping")  # on the Fock truncation
+_ETA = ("mixing", "zeno/attenuator")
+
+# Every config key, once: (section, key, readers, field, cast, default, rule,
+# message).  A present value is cast, refused if a non-finite float, refused
+# with ``message.format(v=value)`` unless ``rule(value)``, and then refused if
+# the config's reader does not read it.  The two system_dim keys write one
+# field, each for its own reader.  The rules that read several keys, ``eta``
+# from its parts and the id that defaults to the kind, follow the loop.
 _KEYS = (
-    ("experiment", "kind", "kind", str, _REQUIRED, lambda v: v in KINDS, f"must be one of {KINDS}, got {{v!r}}"),
-    ("experiment", "id", "experiment_id", str, None, None, None),
-    ("experiment", "seed", "seed", int, 0, None, None),
-    ("experiment", "dimension", "dimension", int, 24, lambda v: v >= 2, "must be >= 2, got {v}"),
-    ("experiment", "t", "t", float, 1.0, lambda v: v > 0, "must be positive, got {v}"),
-    ("channel", "eta_re", "eta_re", float, 0.5, None, None),
-    ("channel", "eta_im", "eta_im", float, 0.0, None, None),
-    ("channel", "type", "channel_type", str, "attenuator",
+    ("experiment", "kind", _EVERY, "kind", str, _REQUIRED, lambda v: v in KINDS, f"must be one of {KINDS}, got {{v!r}}"),
+    ("experiment", "id", _EVERY, "experiment_id", str, None, None, None),
+    ("experiment", "seed", _EVERY, "seed", int, 0, None, None),
+    ("experiment", "dimension", _FOCK, "dimension", int, 24, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("experiment", "t", _EVOLVED, "t", float, 1.0, lambda v: v > 0, "must be positive, got {v}"),
+    ("channel", "eta_re", _ETA, "eta_re", float, 0.5, None, None),
+    ("channel", "eta_im", _ETA, "eta_im", float, 0.0, None, None),
+    ("channel", "type", _ZENO, "channel_type", str, "attenuator",
      lambda v: v in ("attenuator", "gapped"), "must be attenuator or gapped, got {v!r}"),
-    ("channel", "delta", "gapped_delta", float, 0.5, lambda v: 0 < v < 1, "must lie in (0, 1), got {v}"),
-    ("channel", "system_dim", "system_dim", int, 2, lambda v: v >= 2, "must be >= 2, got {v}"),
-    ("generator", "type", "generator_type", str, "hamiltonian",
+    ("channel", "delta", ("zeno/gapped", "binomial"), "gapped_delta", float, 0.5,
+     lambda v: 0 < v < 1, "must lie in (0, 1), got {v}"),
+    ("channel", "system_dim", ("zeno/gapped",), "system_dim", int, 2, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("generator", "type", _EVOLVED, "generator_type", str, "hamiltonian",
      lambda v: v in ("hamiltonian", "dephasing", "none"), "unknown generator type {v!r}"),
-    ("generator", "hamiltonian", "hamiltonian_kind", str, "quadrature",
+    ("generator", "hamiltonian", _EVOLVED, "hamiltonian_kind", str, "quadrature",
      lambda v: v in ("quadrature", "number", "random"), "unknown hamiltonian {v!r}"),
-    ("generator", "scale", "generator_scale", float, None, None, None),
-    ("generator", "rate", "dephasing_rate", float, 0.1, lambda v: v >= 0, "must be nonnegative"),
-    ("binomial", "mode", "binomial_mode", str, "exp-limit", lambda v: v in ("exp-limit", "gapped"), "unknown mode {v!r}"),
-    ("binomial", "system_dim", "binomial_system_dim", int, None, lambda v: v >= 2, "must be >= 2, got {v}"),
-    ("simplex", "k_max", "k_max", int, 8, lambda v: 1 <= v <= 16, "must lie in [1, 16], got {v}"),
-    ("grid", "start", "grid_start", float, 8.0, lambda v: v >= 1, "must be >= 1, got {v}"),
-    ("grid", "factor", "grid_factor", float, 2.0, None, None),
-    ("grid", "count", "grid_count", int, 10,
+    ("generator", "scale", _EVOLVED, "generator_scale", float, None, None, None),
+    ("generator", "rate", _EVOLVED, "dephasing_rate", float, 0.1, lambda v: v >= 0, "must be nonnegative"),
+    ("binomial", "mode", ("binomial",), "binomial_mode", str, "exp-limit",
+     lambda v: v in ("exp-limit", "gapped"), "unknown mode {v!r}"),
+    ("binomial", "system_dim", ("binomial",), "system_dim", int, 2, lambda v: v >= 2, "must be >= 2, got {v}"),
+    ("simplex", "k_max", ("simplex",), "k_max", int, 8, lambda v: 1 <= v <= 16, "must lie in [1, 16], got {v}"),
+    ("grid", "start", _EVERY, "grid_start", float, 8.0, lambda v: v >= 1, "must be >= 1, got {v}"),
+    ("grid", "factor", _EVERY, "grid_factor", float, 2.0, None, None),
+    ("grid", "count", _EVERY, "grid_count", int, 10,
      lambda v: 1 <= v <= _GRID_POINTS, f"must lie in [1, {_GRID_POINTS}], got {{v}}"),
-    ("states", "specs", "state_specs", _specs, ("fock:1",), lambda v: v, "must list at least one state"),
-    ("tolerances", "tail_mass", "tail_budget", float, 1e-12, lambda v: v > 0, "must be positive"),
-    ("output", "path", "output_path", str, None, None, None),
+    ("states", "specs", _STATES, "state_specs", _specs, ("fock:1",), lambda v: v, "must list at least one state"),
+    ("tolerances", "tail_mass", _STATES, "tail_budget", float, 1e-12, lambda v: v > 0, "must be positive"),
+    ("output", "path", _EVERY, "output_path", str, None, None, None),
 )
 
 
@@ -258,13 +270,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
 
-    values = {}
-    for section, key, field, cast, default, rule, message in _KEYS:
+    values, present = {}, []
+    for section, key, readers, field, cast, default, rule, message in _KEYS:
         name = f"{section}.{key}"
         if not parser.has_option(section, key):
             if default is _REQUIRED:
                 raise ConfigError(name, "missing required key")
-            values[field] = default
+            values.setdefault(field, default)
             continue
         raw = parser.get(section, key)
         try:
@@ -276,17 +288,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if rule is not None and not rule(value):
             raise ConfigError(name, message.format(v=value))
         values[field] = value
+        present.append((name, readers))
+    reader = f"zeno/{values['channel_type']}" if values["kind"] == "zeno" else values["kind"]
+    for name, readers in present:
+        if reader not in readers:
+            raise ConfigError(name, f"not read by a {reader} run")
 
     if values["experiment_id"] is None:
         values["experiment_id"] = values["kind"]
     eta = values["eta"] = complex(values.pop("eta_re"), values.pop("eta_im"))
     if abs(eta) > 1:
         raise ConfigError("channel.eta_re", f"|eta| must be <= 1, got {abs(eta):.6f}")
-    binomial_dim = values.pop("binomial_system_dim")
-    if values["kind"] == "binomial" and binomial_dim is not None:
-        values["system_dim"] = binomial_dim
-    if values["channel_type"] == "gapped" and values["kind"] != "zeno":
-        raise ConfigError("channel.type", f"gapped is for the zeno kind only, not {values['kind']}")
     if values["grid_count"] > 1 and values["grid_factor"] <= 1:
         raise ConfigError("grid.factor", f"must be > 1 for an increasing grid, got {values['grid_factor']}")
 
@@ -462,8 +474,8 @@ def _state_dim(cfg: ExperimentConfig) -> tuple:
     """``(field, d)``: the config key that sets the dimension ``d`` of a run's states.
 
     The gapped zeno channel acts on ``channel.system_dim`` and the binomial
-    kind on ``binomial.system_dim`` (which defaults to ``channel.system_dim``);
-    every other kind on the Fock truncation ``experiment.dimension``.
+    kind on ``binomial.system_dim`` (each defaults to 2); every other kind on
+    the Fock truncation ``experiment.dimension``.
     """
     if cfg.kind == "binomial":
         return "binomial.system_dim", cfg.system_dim

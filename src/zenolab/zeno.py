@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Superoperator
-from .linalg import (
-    as_matrix,
-    devectorize,
-    matrix_exp,
-    trace_norm,
-    vectorize,
-)
+from .channels import Superoperator, _check_contractive, apply
+from .linalg import as_matrix, matrix_exp
 
 __all__ = [
     "ZenoConfig",
@@ -52,17 +46,6 @@ def _check_projection_compat(m_mat, p_mat, what: str):
         raise ValueError(f"{what} P != P within 1e-9")
     if np.linalg.norm(p_mat @ m_mat - p_mat) > 1e-9:
         raise ValueError(f"P {what} != P within 1e-9")
-
-
-def _check_contractive(mat, states, what: str, slack: float = 1e-8):
-    for state_id, x in states:
-        before = trace_norm(x)
-        after = trace_norm(devectorize(mat @ vectorize(x)))
-        if after > before + slack:
-            raise ValueError(
-                f"{what} is not trace-norm contractive on state {state_id!r}: "
-                f"{after:.6e} > {before:.6e}"
-            )
 
 
 def _check_hermiticity_preserving(**maps) -> None:
@@ -108,7 +91,7 @@ class ZenoConfig:
         projection with ``MP = PM = P``.
         """
         _check_hermiticity_preserving(M=self.m, L=self.l, P=self.p)
-        _check_contractive(self.m.matrix, self.test_states, "M")
+        _check_contractive(self.test_states, [apply(self.m, x) for _, x in self.test_states], "M")
         _check_projection_compat(self.m.matrix, self.p.matrix, "M")
 
 

@@ -130,7 +130,8 @@ def test_defective_attenuator_weights_exit_3(tmp_path, capsys, monkeypatch, kind
     weights = channels._attenuator_weights
     apply_once = channels._attenuator_apply
     path = tmp_path / "run.ini"
-    path.write_text(GOOD.replace("kind = mixing", f"kind = {kind}").replace("start = 1", "start = 8"))
+    text = GOOD.replace("kind = mixing", f"kind = {kind}").replace("start = 1", "start = 8")
+    path.write_text(text.replace("[channel]\neta_re = 0.6\n", "") if kind == "damping" else text)
     monkeypatch.setattr(channels, "_attenuator_weights", lambda eta, d: 1.001 * weights(eta, d))
     assert main(["--out", str(tmp_path), "run", str(path)]) == 3
     assert f"invariant violation: {kind}: P {label} != P within 1e-9" in capsys.readouterr().err
@@ -170,9 +171,38 @@ def test_oversized_config_exits_2_before_running(tmp_path, capsys, monkeypatch, 
 def test_gapped_channel_outside_zeno_exits_2(tmp_path, capsys, kind):
     # only the zeno kind reads channel.type; binomial picks its M by binomial.mode
     path = tmp_path / "gapped.ini"
-    path.write_text(f"[experiment]\nkind = {kind}\ndimension = 8\n[channel]\ntype = gapped\n")
+    path.write_text(f"[experiment]\nkind = {kind}\n[channel]\ntype = gapped\n")
     assert main(["--out", str(tmp_path), "run", str(path)]) == 2
-    assert f"config error: channel.type: gapped is for the zeno kind only, not {kind}" in capsys.readouterr().err
+    assert f"config error: channel.type: not read by a {kind} run" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "preset, old, new, field, reader",
+    [
+        ("attenuator-damping", "[grid]", "[channel]\neta_re = 0.9\n[grid]", "channel.eta_re", "damping"),
+        ("attenuator-mixing", "[grid]", "[generator]\ntype = dephasing\nrate = 0.5\n[grid]", "generator.type", "mixing"),
+        ("attenuator-zeno", "eta_re = 0.5", "eta_re = 0.5\ndelta = 0.9\nsystem_dim = 5", "channel.delta", "zeno/attenuator"),
+        ("uniform-zeno", "t = 1.0", "t = 1.0\ndimension = 16", "experiment.dimension", "zeno/gapped"),
+        ("binomial-limit", "[grid]", "[channel]\nsystem_dim = 3\n[grid]", "channel.system_dim", "binomial"),
+        ("attenuator-mixing", "eta_re = 0.8", "eta_re = 0.8\ntype = attenuator", "channel.type", "mixing"),
+    ],
+    ids=["damping-eta", "mixing-generator", "attenuator-zeno-gapped-keys", "gapped-zeno-dimension",
+         "binomial-channel-system-dim", "mixing-channel-type"],
+)
+def test_key_the_kind_does_not_read_exits_2(tmp_path, capsys, monkeypatch, preset, old, new, field, reader):
+    # a key is refused unless the config's kind (and, for zeno, its channel)
+    # reads it, before anything runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config with an unread key reached the run")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    text = experiments.PRESETS[preset][1]
+    assert old in text
+    path = tmp_path / "extra.ini"
+    path.write_text(text.replace(old, new))
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    assert f"config error: {field}: not read by a {reader} run" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -210,7 +240,7 @@ def test_damping_solve_at_its_halving_cap_exits_3(tmp_path, capsys, monkeypatch)
     path = tmp_path / "damping.ini"
     path.write_text(
         GOOD.replace("kind = mixing", "kind = damping").replace("id = cli-mixing", "id = cli-damping")
-        .replace("start = 1", "start = 8")
+        .replace("[channel]\neta_re = 0.6\n", "").replace("start = 1", "start = 8")
         + "\n[generator]\ntype = hamiltonian\nhamiltonian = random\nscale = 0.4\n"
     )
     monkeypatch.setattr(channels, "_RESIDUAL", -1.0)

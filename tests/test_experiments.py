@@ -72,6 +72,9 @@ count = 5
 [states]
 specs = fock:1, coherent:0.5
 """
+# MINI_ZENO as a damping run, without the [channel] section that damping does not read
+MINI_DAMPING = MINI_ZENO.replace("kind = zeno", "kind = damping").replace("[channel]\neta_re = 0.5\n\n", "")
+MINI_RUNS = {"zeno": MINI_ZENO, "damping": MINI_DAMPING}
 
 MINI_MIXING = """
 [experiment]
@@ -125,15 +128,18 @@ def test_parse_rejects_bad_grid_factor():
     ],
 )
 def test_parse_rejects_non_finite_values(old, new, field):
+    # damping reads no [channel], but a present key's own value is refused
+    # before its reader is checked: eta_re = nan names itself in both kinds
     for kind in ("zeno", "damping"):
-        text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace(old, new)
+        base = MINI_ZENO if field == "channel.eta_re" else MINI_RUNS[kind]
+        text = base.replace("kind = zeno", f"kind = {kind}").replace(old, new)
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert err.value.field == field
 
 
 def test_parse_rejects_grid_that_rounds_to_repeats():
-    text = MINI_ZENO.replace("start = 8", "start = 1").replace("factor = 2", "factor = 1.01")
+    text = "[experiment]\nkind = zeno\n[grid]\nstart = 1\nfactor = 1.01\ncount = 5\n"
     for kind in ("mixing", "zeno", "binomial", "simplex"):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text.replace("kind = zeno", f"kind = {kind}"))
@@ -143,7 +149,7 @@ def test_parse_rejects_grid_that_rounds_to_repeats():
 
 
 def test_grid_is_integer_only_for_rounded_kinds():
-    text = MINI_ZENO.replace("start = 8", "start = 1").replace("factor = 2", "factor = 3.3")
+    text = "[experiment]\nkind = zeno\n[grid]\nstart = 1\nfactor = 3.3\ncount = 5\n"
     for kind in ("mixing", "zeno", "binomial", "simplex"):
         grid = parse_config_text(text.replace("kind = zeno", f"kind = {kind}")).grid()
         assert grid == [1, 3, 11, 36, 119] and all(type(n) is int for n in grid)
@@ -155,13 +161,13 @@ def test_size_check_counts_live_dense_matrices(monkeypatch):
     # fixed allowance, admits a gapped zeno channel of system_dim = 10, not 11
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": experiments._FIXED_BYTES + 16 * experiments._LIVE_MATRICES * 10**4}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    gapped = MINI_ZENO.replace("eta_re = 0.5", "type = gapped\nsystem_dim = 10")
+    gapped = MINI_ZENO.replace("dimension = 10\n", "").replace("eta_re = 0.5", "type = gapped\nsystem_dim = 10")
     assert parse_config_text(gapped).system_dim == 10
     with pytest.raises(ConfigError) as err:
         parse_config_text(gapped.replace("system_dim = 10", "system_dim = 11"))
     assert err.value.field == "channel.system_dim"
-    simplex = MINI_ZENO.replace("kind = zeno", "kind = simplex").replace("= 10", "= 4000")
-    assert parse_config_text(simplex).dimension == 4000  # holds no dense matrix
+    # simplex holds no dense matrix, so its default dimension of 24 is not charged
+    assert parse_config_text("[experiment]\nkind = simplex\n").dimension == 24
 
 
 def test_size_check_estimates_mixing_by_its_state_arrays(monkeypatch):
@@ -202,7 +208,7 @@ def test_size_check_charges_attenuator_runs_by_representation(monkeypatch, kind)
         arrays = experiments._LIVE_DAMPING_ARRAYS * 3 + experiments._LIVE_IMAGES * 2
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": experiments._FIXED_BYTES + 16 * arrays * d**2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    text = MINI_ZENO.replace("kind = zeno", f"kind = {kind}").replace("dimension = 10", f"dimension = {d}")
+    text = MINI_RUNS[kind].replace("dimension = 10", f"dimension = {d}")
     assert parse_config_text(text).dimension == d
     for bad in (text.replace(f"= {d}", f"= {d + 1}"), text.replace("coherent:0.5", "coherent:0.5, random:0")):
         with pytest.raises(ConfigError) as err:
@@ -235,7 +241,7 @@ def test_parse_rejects_negative_dimension():
 
 @pytest.mark.parametrize(
     "section, key, cast",
-    [pytest.param(s, k, cast, id=f"{s}.{k}") for s, k, _, cast, _, rule, _ in experiments._KEYS if cast is not str or rule],
+    [pytest.param(s, k, cast, id=f"{s}.{k}") for s, k, _, _, cast, _, rule, _ in experiments._KEYS if cast is not str or rule],
 )
 def test_each_config_key_names_itself_when_its_value_is_refused(section, key, cast):
     # an unparsable value, or nan for a float, fails with the key's own field;
@@ -252,13 +258,24 @@ def test_each_config_key_names_itself_when_its_value_is_refused(section, key, ca
 
 
 def test_readme_config_grammar_lists_every_key_and_parses():
+    # the block lists every key; each reader's keys, at the block's values,
+    # with the kind and channel.type set to the reader's, make a config
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
-    parse_config_text(block)
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     parser.read_string(block)
     listed = {(section, key) for section in parser.sections() for key in parser.options(section)}
     assert listed == {(section, key) for section, key, *_ in experiments._KEYS}
+    for reader in experiments._EVERY:
+        kind, _, channel = reader.partition("/")
+        own = {("experiment", "kind"): kind, ("channel", "type"): channel}
+        sections = {}
+        for section, key, readers, *_ in experiments._KEYS:
+            if reader in readers:
+                value = own.get((section, key), parser.get(section, key))
+                sections.setdefault(section, []).append(f"{key} = {value}\n")
+        cfg = parse_config_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+        assert (cfg.kind, cfg.channel_type) == (kind, channel or "attenuator")
 
 
 def test_parse_refuses_an_unknown_key():
@@ -293,23 +310,31 @@ CONFIG_WORDS = ("nan", "-inf", "1e400", "", "%", "[x]", "fock:99", "0", "-1")
 
 @st.composite
 def config_texts(draw):
-    # Three keys in four are present, and three values in four are ones the
-    # parser accepts, so examples reach every check; the rest are anything.
-    # Integers run past every cap (grid.count's 10**4 included): each cap is
-    # checked in O(1), before anything of that size is listed or built.
+    # A reader is drawn first.  Three keys in four that it reads are present,
+    # and one in eight of the others, and three values in four are ones the
+    # parser accepts (the reader's kind and channel.type among them), so
+    # examples reach every check; the rest are anything.  Integers run past
+    # every cap (grid.count's 10**4 included): each cap is checked in O(1),
+    # before anything of that size is listed or built.
     anything = st.one_of(
         st.sampled_from(CONFIG_WORDS),
         st.integers(min_value=-10, max_value=10**12).map(str),
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
         st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
     )
+    reader = draw(st.sampled_from(experiments._EVERY))
+    kind, _, channel = reader.partition("/")
+    own = {("experiment", "kind"): (kind,), ("channel", "type"): (channel or "attenuator",)}
+    readers = {(section, key): r for section, key, r, *_ in experiments._KEYS}
     others = st.lists(st.sampled_from(sorted(CONFIG_KEYS.keys() - {"experiment"})), unique=True)
     lines = []
     for section in ["experiment", *draw(others)]:
         lines.append(f"[{section}]")
         for key, accepted in CONFIG_KEYS[section].items():
-            if draw(st.integers(0, 3)):
+            read = reader in readers[section, key]
+            if draw(st.integers(0, 3)) > 0 if read else draw(st.integers(0, 7)) == 0:
                 good = draw(st.integers(0, 3))
+                accepted = own.get((section, key), accepted)
                 lines.append(f"{key} = {draw(st.sampled_from(accepted) if good else anything)}")
     return "\n".join(lines)
 
@@ -472,7 +497,7 @@ def test_run_zeno_produces_fits_and_envelope():
 
 
 def test_run_damping_small():
-    text = MINI_ZENO.replace("kind = zeno", "kind = damping").replace("id = mini-zeno", "id = mini-damp")
+    text = MINI_DAMPING.replace("id = mini-zeno", "id = mini-damp")
     rows = run_experiment(parse_config_text(text))
     assert len(rows) == 10
     errs = [r.error for r in rows if r.state_id == "fock:1"]
@@ -499,8 +524,7 @@ def test_attenuator_runs_build_no_dense_matrix(monkeypatch, kind):
         monkeypatch.setattr(owner, name, refuse)
     d = 16
     text = (
-        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_RUNS[kind].replace("dimension = 10", f"dimension = {d}")
         .replace("quadrature", "random\nscale = 0.4")
     )
     cfg = parse_config_text(text)
@@ -531,8 +555,7 @@ def test_damping_with_a_dense_hamiltonian_at_d64_matches_expm():
     # the sparse generator, gamma (2 a x a^dag - N x - x N) - i [H, x]
     d = 64
     text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_DAMPING.replace("dimension = 10", f"dimension = {d}")
         .replace("hamiltonian = quadrature", "hamiltonian = random\nscale = 0.25")
         .replace("start = 8", "start = 2")
         .replace("count = 5", "count = 1")
@@ -555,8 +578,7 @@ def test_damping_at_d128_parses_on_8_gib_and_matches_closed_form(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_DAMPING.replace("dimension = 10", f"dimension = {d}")
         .replace("hamiltonian = quadrature", f"hamiltonian = number\nscale = {s}")
         .replace("count = 5", "count = 1")
         .replace("fock:1, coherent:0.5", "random:0")
@@ -586,8 +608,7 @@ def test_small_runs_stay_within_their_charge(kind):
     # run 0.4% past a charge without them)
     for d in (8, 16):
         text = (
-            MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
-            .replace("dimension = 10", f"dimension = {d}")
+            MINI_RUNS[kind].replace("dimension = 10", f"dimension = {d}")
             .replace("count = 5", "count = 10")
             .replace("fock:1, coherent:0.5", "fock:1, fock:3, random:0, random:1")
         )
@@ -653,8 +674,7 @@ def test_damping_run_at_the_halving_cap_stays_within_its_charge(monkeypatch, d, 
     # no node ever settles, so every substep is halved up to the cap, each
     # length with its own coefficients: the most a damping run can hold
     text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_DAMPING.replace("dimension = 10", f"dimension = {d}")
         .replace("hamiltonian = quadrature", "hamiltonian = random")
         .replace("count = 5", "count = 1")
         .replace("fock:1, coherent:0.5", specs)
@@ -688,7 +708,7 @@ def test_damping_substeps_are_bounded_at_parse_time(monkeypatch, old, new, field
         raise AssertionError("the parser built the Hamiltonian")
 
     monkeypatch.setattr(experiments, "_generator", refuse)
-    text = MINI_ZENO.replace("kind = zeno", "kind = damping").replace(old, new)
+    text = MINI_DAMPING.replace(old, new)
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert err.value.field == field and "substeps" in str(err.value)
@@ -702,8 +722,7 @@ def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
     # at the default one, which the estimate and the run's H share
     for scale, field in (("\nscale = 0.9", "generator.scale"), ("", "experiment.t")):
         text = (
-            MINI_ZENO.replace("kind = zeno", "kind = damping")
-            .replace("dimension = 10", f"dimension = {d}\nt = 3.7")
+            MINI_DAMPING.replace("dimension = 10", f"dimension = {d}\nt = 3.7")
             .replace("hamiltonian = quadrature", f"hamiltonian = {kind}{scale}")
             .replace("fock:1, coherent:0.5", "fock:1")
         )
@@ -760,8 +779,7 @@ def test_shipped_configs_fit_the_step_budget():
 def test_huge_grid_count_fails_before_listing_the_grid():
     # a factor near 1 keeps every point finite, so only the count can refuse it
     text = (
-        MINI_ZENO.replace("kind = zeno", "kind = damping")
-        .replace("factor = 2", "factor = 1.0000001")
+        MINI_DAMPING.replace("factor = 2", "factor = 1.0000001")
         .replace("count = 5", f"count = {10**9}")
     )
     started = time.perf_counter()
@@ -884,12 +902,8 @@ def test_wall_time_covers_each_grid_point(monkeypatch):
 AGREEMENT_CASES = {
     "zeno-complex-eta": MINI_ZENO.replace("eta_re = 0.5", "eta_re = 0.5\neta_im = 0.3"),
     "zeno-dephasing": MINI_ZENO.replace("type = hamiltonian", "type = dephasing\nrate = 0.2"),
-    "damping-random-hamiltonian": MINI_ZENO.replace("kind = zeno", "kind = damping").replace(
-        "quadrature", "random\nscale = 0.4"
-    ),
-    "damping-dephasing": MINI_ZENO.replace("kind = zeno", "kind = damping").replace(
-        "type = hamiltonian", "type = dephasing\nrate = 0.3"
-    ),
+    "damping-random-hamiltonian": MINI_DAMPING.replace("quadrature", "random\nscale = 0.4"),
+    "damping-dephasing": MINI_DAMPING.replace("type = hamiltonian", "type = dephasing\nrate = 0.3"),
 }
 
 
@@ -1019,8 +1033,7 @@ def test_attenuator_runs_at_d64_match_closed_forms(kind):
         r = 0.3
         generator = f"type = dephasing\nrate = {r}"
     text = (
-        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_RUNS[kind].replace("dimension = 10", f"dimension = {d}")
         .replace("eta_re = 0.5", "eta_re = 0.45\neta_im = 0.2")
         .replace("type = hamiltonian\nhamiltonian = quadrature", generator)
         .replace("count = 5", "count = 3")
@@ -1052,8 +1065,7 @@ def test_quadrature_runs_at_d128_match_displaced_coherent_states(kind):
     s = 1.0 / d
     grid = "start = 8\nfactor = 8\ncount = 3" if kind == "zeno" else "start = 8\nfactor = 4\ncount = 3"
     text = (
-        MINI_ZENO.replace("kind = zeno", f"kind = {kind}")
-        .replace("dimension = 10", f"dimension = {d}")
+        MINI_RUNS[kind].replace("dimension = 10", f"dimension = {d}")
         .replace("eta_re = 0.5", "eta_re = 0.6\neta_im = 0.3")
         .replace("start = 8\nfactor = 2\ncount = 5", grid)
         .replace("fock:1, coherent:0.5", "coherent:0.8, coherent:1.5-0.7j")
