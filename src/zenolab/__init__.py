@@ -23,6 +23,7 @@ from .fock import (
     vacuum_state,
 )
 from .channels import (
+    Attenuator,
     Generator,
     KrausChannel,
     Superoperator,
@@ -49,6 +50,7 @@ from .binomial import (
 )
 from .zeno import (
     FitResult,
+    GappedChannel,
     ZenoConfig,
     constant_big_n,
     effective_dynamics,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lgamma, log, log1p
 
 import numpy as np
@@ -19,10 +19,10 @@ from .linalg import adjoint, as_matrix, devectorize, kron, trace_norm, vectorize
 __all__ = [
     "KrausChannel",
     "Superoperator",
+    "Attenuator",
     "Generator",
     "attenuator_kraus",
     "attenuator_deviation",
-    "attenuator_check",
     "damped_action",
     "zeno_action",
     "to_superoperator",
@@ -78,6 +78,11 @@ class Superoperator:
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
+    def act(self, y: np.ndarray, capacity: int = 0) -> np.ndarray:
+        """The map on each matrix of a ``(..., d, d)`` stack, one product per index before the last three; ``capacity`` is not read."""
+        # row i of a product is vec(M y_i) read row-major, that is M(y_i)^T (one matrix takes a gemv, more a gemm)
+        return (y.swapaxes(-1, -2).reshape(*y.shape[:-3], -1, len(self.matrix)) @ self.matrix.T).reshape(y.shape).swapaxes(-1, -2)
+
 
 def attenuator_kraus(eta: complex, dim: int) -> KrausChannel:
     """Photon-loss channel on the truncated space.
@@ -104,11 +109,9 @@ def _attenuator_weights(eta: complex, d: int) -> np.ndarray:
     ``w[m, l]`` is the Kraus entry ``(m, m+l)`` of :func:`attenuator_kraus`.
     Row 0 is ``w_{0,l} = (1-|eta|^2)^(l/2)``; row ``m`` follows from row
     ``m-1`` by the ratio ``eta sqrt((m+l)/m)``.  Every partial product is
-    itself a weight of modulus <= 1, so nothing overflows at any ``d``.
+    itself a weight of modulus <= 1, so nothing overflows at any ``d``
+    (``|eta| <= 1`` is checked by :class:`Attenuator`).
     """
-    eta = complex(eta)
-    if abs(eta) > 1 + 1e-12:
-        raise ValueError(f"attenuator requires |eta| <= 1, got |eta|={abs(eta)}")
     keep = min(abs(eta) ** 2, 1.0)
     levels = np.arange(d)
     w = np.empty((d, d), dtype=np.complex128)
@@ -211,9 +214,6 @@ def _attenuator_plan(eta: complex, d: int) -> tuple:
     out-scales and ``C`` depend on ``eta``: the diagonal tiles' gauges and
     in-scales come from :func:`_diagonal_scales`, cached per ``d``.
     """
-    eta = complex(eta)
-    if abs(eta) > 1 + 1e-12:
-        raise ValueError(f"attenuator requires |eta| <= 1, got |eta|={abs(eta)}")
     keep = min(abs(eta) ** 2, 1.0)
     mf, ef, ms, es_in, es_out = _binary_levels(d)
     phase = np.full(d, eta / abs(eta) if eta else 1.0, dtype=np.complex128)
@@ -362,34 +362,77 @@ def _attenuator_apply(plan, x: np.ndarray, capacity: int = 0) -> np.ndarray:
     return out
 
 
-def attenuator_check(eta: complex, states, label: str = "M") -> None:
-    """The checks of :meth:`zenolab.zeno.ZenoConfig.validate` for the attenuator at ``eta``, matrix-free.
+@dataclass(frozen=True)
+class Attenuator:
+    """The photon-loss channel ``Phi_eta`` on ``dim`` levels, matrix-free; ``eta`` is made complex and checked ``|eta| <= 1 + 1e-12``.
 
-    With ``P(x) = |0><0| Tr x``, ``P M = P`` is ``sum_l K_l^dag K_l = I``.
-    Each ``K_l`` has at most one nonzero entry per column, so that sum is
-    diagonal, with entry ``j`` the anti-diagonal sum ``sum_{m+l=j} |w_{m,l}|^2``
-    of the weight table of :func:`_attenuator_weights`.  ``M P = P`` is
-    ``|w_{0,0}|^2 = 1``, as only ``K_0`` reads the vacuum.  Both are held to
-    the 1e-9 of the dense check, in the same Frobenius norms of the
-    superoperators: ``||P M - P|| = ||sum_l K_l^dag K_l - I||_F`` and
-    ``||M P - P|| = sqrt(d) | |w_{0,0}|^2 - 1 |``.  That is ``O(d^2)``.
-    Trace-norm contractivity is spot-checked on the Hermitian
-    ``(state_id, matrix)`` pairs ``states`` through the Toeplitz kernel of
-    :func:`_attenuator_plan`, by the dense check's :func:`_check_contractive`.  A failed
-    check raises ValueError naming ``label``.
+    ``Phi`` keeps the charge ``m - n`` of every entry:
+    ``(Phi x)_{mn} = sum_l w_{m,l} conj(w_{n,l}) x_{m+l,n+l}``, where
+    ``w_{m,l} = sqrt(C(m+l, m) (1-|eta|^2)^l) eta^m`` is the Kraus entry
+    ``(m, m+l)`` of :func:`attenuator_kraus`.  :attr:`plan`, built on first
+    use and kept, turns that into real Toeplitz products on the charge
+    diagonals (:func:`_attenuator_plan`), one dgemm for ``d <= 128``:
+    ``O(S d^3)`` time and ``O(S d^2)`` memory (:func:`to_superoperator`:
+    ``O(d^5)`` and ``16 d^4`` bytes).  The kernel reads the lower triangles
+    only, so the matrices must be Hermitian.
     """
-    x = _hermitian_batch([rho for _, rho in states], "attenuator_check")
-    d = x.shape[1]
-    w = _attenuator_weights(eta, d)
-    levels = np.arange(d)
-    kept = np.abs(w) ** 2
-    sums = np.bincount(np.add.outer(levels, levels).ravel(), weights=kept.ravel())[:d]
-    if np.linalg.norm(sums - 1.0) > 1e-9:
-        j = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"P {label} != P within 1e-9: the Kraus weights of level {j} sum to {sums[j]:.17g}")
-    if np.sqrt(d) * abs(kept[0, 0] - 1.0) > 1e-9:
-        raise ValueError(f"{label} P != P within 1e-9: the vacuum weight is {w[0, 0]}")
-    _check_contractive(states, _attenuator_apply(_attenuator_plan(eta, d), x), label)
+
+    eta: complex
+    dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "eta", complex(self.eta))
+        if abs(self.eta) > 1 + 1e-12:
+            raise ValueError(f"attenuator requires |eta| <= 1, got |eta|={abs(self.eta)}")
+
+    plan = cached_property(lambda self: _attenuator_plan(self.eta, self.dim))
+
+    def act(self, y: np.ndarray, capacity: int = 0) -> np.ndarray:
+        """``Phi_eta`` on each Hermitian matrix of a ``(..., d, d)`` stack by :func:`_attenuator_apply`, which takes ``capacity``."""
+        return _attenuator_apply(self.plan, y.reshape(-1, self.dim, self.dim), capacity).reshape(y.shape)
+
+    def limit(self, states, generator=None, t=None, label: str = "M") -> np.ndarray:
+        """The checks of :meth:`zenolab.zeno.ZenoConfig.validate`, matrix-free, then the limit ``|0><0| Tr x`` of each state.
+
+        With ``P(x) = |0><0| Tr x``, ``P M = P`` is ``sum_l K_l^dag K_l = I``.
+        Each ``K_l`` has at most one nonzero entry per column, so that sum is
+        diagonal, with entry ``j`` the anti-diagonal sum ``sum_{m+l=j} |w_{m,l}|^2``
+        of the weight table of :func:`_attenuator_weights`.  ``M P = P`` is
+        ``|w_{0,0}|^2 = 1``, as only ``K_0`` reads the vacuum.  Both are held to
+        the 1e-9 of the dense check, in the same Frobenius norms of the
+        superoperators: ``||P M - P|| = ||sum_l K_l^dag K_l - I||_F`` and
+        ``||M P - P|| = sqrt(d) | |w_{0,0}|^2 - 1 |``.  That is ``O(d^2)``.
+        Trace-norm contractivity is spot-checked on the Hermitian
+        ``(state_id, matrix)`` pairs ``states`` through :meth:`act`, by the
+        dense check's :func:`_check_contractive`.  A failed check raises
+        ValueError naming ``label``.  The limit ``e^{tPLP} P`` is ``P`` for
+        every trace-preserving ``L``, as ``P L P = Tr(L |0><0|) P = 0``, so
+        ``generator`` and ``t`` are not read.
+        """
+        x = _hermitian_batch([rho for _, rho in states], "Attenuator.limit")
+        d = self.dim
+        if x.shape[1] != d:
+            raise ValueError(f"attenuator of dimension {d} does not act on states of dimension {x.shape[1]}")
+        w = _attenuator_weights(self.eta, d)
+        levels = np.arange(d)
+        kept = np.abs(w) ** 2
+        sums = np.bincount(np.add.outer(levels, levels).ravel(), weights=kept.ravel())[:d]
+        if np.linalg.norm(sums - 1.0) > 1e-9:
+            j = int(np.argmax(np.abs(sums - 1.0)))
+            raise ValueError(f"P {label} != P within 1e-9: the Kraus weights of level {j} sum to {sums[j]:.17g}")
+        if np.sqrt(d) * abs(kept[0, 0] - 1.0) > 1e-9:
+            raise ValueError(f"{label} P != P within 1e-9: the vacuum weight is {w[0, 0]}")
+        _check_contractive(states, self.act(x), label)
+        return np.array([np.trace(rho).real for _, rho in states])[:, None, None] * vacuum_state(d)
+
+    def deviation(self, x: np.ndarray) -> np.ndarray:
+        """:func:`attenuator_deviation` of a complex ``(S, d, d)`` batch that the caller has checked Hermitian."""
+        out = _attenuator_apply(self.plan, x)
+        keep = min(abs(self.eta) ** 2, 1.0)
+        # (1-|eta|^2)^l - 1; log1p(0) = 0 covers eta = 0
+        shrink = np.expm1(np.arange(1, self.dim) * np.log1p(-keep)) if keep < 1.0 else np.full(self.dim - 1, -1.0)
+        out[:, 0, 0] = (np.diagonal(x, axis1=1, axis2=2)[:, 1:].real * shrink).sum(axis=1)
+        return out
 
 
 def _check_contractive(states, images, label: str) -> None:
@@ -402,19 +445,14 @@ def _check_contractive(states, images, label: str) -> None:
             )
 
 
-def _operator_batch(ops) -> np.ndarray:
-    x = np.asarray(ops, dtype=np.complex128)
-    if x.ndim != 3 or x.shape[1] != x.shape[2]:
-        raise ValueError(f"expected a (S, d, d) batch of operators, got shape {x.shape}")
-    return x
-
-
 def _hermitian_batch(ops, caller: str) -> np.ndarray:
     """``ops`` as a ``(S, d, d)`` batch, each Hermitian to 1e-12 of the largest entry.
 
     The check runs one state at a time, so it holds no batch-sized temporary.
     """
-    x = _operator_batch(ops)
+    x = np.asarray(ops, dtype=np.complex128)
+    if x.ndim != 3 or x.shape[1] != x.shape[2]:
+        raise ValueError(f"expected a (S, d, d) batch of operators, got shape {x.shape}")
     scale = 1e-12 * max((np.abs(op).max() for op in x), default=0.0)
     if any(np.abs(op - op.conj().T).max() > scale for op in x):
         raise ValueError(f"{caller} requires Hermitian operators")
@@ -461,37 +499,15 @@ class Generator:
 
 
 def attenuator_deviation(eta: complex, ops) -> np.ndarray:
-    """``Phi_eta(x) - |0><0| Tr x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
+    """``Phi_eta(x) - |0><0| Tr x`` for each Hermitian ``x`` of a ``(S, d, d)`` batch, by :class:`Attenuator`.
 
-    The attenuator keeps the charge ``m - n`` of every entry:
-    ``(Phi x)_{mn} = sum_l w_{m,l} conj(w_{n,l}) x_{m+l,n+l}``, where
-    ``w_{m,l} = sqrt(C(m+l, m) (1-|eta|^2)^l) eta^m`` is the Kraus entry
-    ``(m, m+l)`` of :func:`attenuator_kraus`.  :func:`_attenuator_plan`
-    turns that into real Toeplitz products on the charge diagonals, one
-    dgemm for ``d <= 128``: ``O(S d^3)`` time and ``O(S d^2)`` memory, where
-    :func:`to_superoperator` needs ``O(d^5)`` time and ``16 d^4`` bytes.  The
-    kernel reads the lower triangles only, so the batch must be Hermitian;
-    that is checked once per call.  The vacuum entry
+    The batch is checked Hermitian once per call.  The vacuum entry
     ``sum_{l>=1} ((1-|eta|^2)^l - 1) x_ll`` is formed by ``expm1``/``log1p``,
     so a deviation far below 1 keeps its relative precision instead of
     rounding at ``1 - |eta|^2``.  The result is exactly Hermitian.
     """
-    return _attenuator_deviation(eta, _hermitian_batch(ops, "attenuator_deviation"))
-
-
-def _attenuator_deviation(eta: complex, x: np.ndarray) -> np.ndarray:
-    """:func:`attenuator_deviation` of a complex ``(S, d, d)`` batch that the caller has checked Hermitian."""
-    d = x.shape[1]
-    out = _attenuator_apply(_attenuator_plan(eta, d), x)
-    keep = min(abs(complex(eta)) ** 2, 1.0)
-    levels = np.arange(d)
-    if keep < 1.0:
-        # (1-|eta|^2)^l - 1; log1p(0) = 0 covers eta = 0
-        shrink = np.expm1(levels[1:] * np.log1p(-keep))
-    else:
-        shrink = np.full(d - 1, -1.0)
-    out[:, 0, 0] = (np.diagonal(x, axis1=1, axis2=2)[:, 1:].real * shrink).sum(axis=1)
-    return out
+    x = _hermitian_batch(ops, "attenuator_deviation")
+    return Attenuator(eta, x.shape[1]).deviation(x)
 
 
 # Nodes of the Weideman-Trefethen parabola for exp (Trefethen, Weideman and
@@ -684,20 +700,19 @@ def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) 
     """``(M e^{tL/n})^n x`` for each step count ``n`` of ``ns`` and each Hermitian ``x`` of a ``(S, d, d)`` batch, matrix-free.
 
     Returns a ``(K, S, d, d)`` stack for the ``K`` counts of ``ns``.  ``M``
-    is the attenuator at ``eta = channel`` when ``channel`` is a number,
-    applied by the Toeplitz products of :func:`_attenuator_plan` (the plan
-    built once per call; each step is one real dgemm for ``d <= 128``), or
-    the :class:`Superoperator` ``channel`` applied to the column-stacked
-    batch.  ``L`` is the :class:`Generator` ``generator``: ``-i[H, .]`` or
-    dephasing at rate ``r``, not both; ``e^{tL/n}`` is applied exactly, as
-    the conjugation by ``V e^{-i Lambda t/n} V^dag`` from one ``eigh(H)``
-    per call (made unitary to an ulp by one Newton-Schulz step per ``n``),
-    or as the entrywise factor ``exp(-(t/n) r (m - n)^2 / 2)``.
+    is ``channel``, an :class:`Attenuator` (each step one real dgemm for
+    ``d <= 128`` on the plan it holds) or a :class:`Superoperator` such as
+    :class:`zenolab.zeno.GappedChannel`, of dimension ``d``, applied by its
+    ``act``; anything else raises TypeError.  ``L`` is the
+    :class:`Generator` ``generator``: ``-i[H, .]`` or dephasing at rate
+    ``r``, not both; ``e^{tL/n}`` is applied exactly, as the conjugation by
+    ``V e^{-i Lambda t/n} V^dag`` from one ``eigh(H)`` per call (made
+    unitary to an ulp by one Newton-Schulz step per ``n``), or as the
+    entrywise factor ``exp(-(t/n) r (m - n)^2 / 2)``.
 
     The step is iterated on the batch, ``y_k = (M e^{tL/n}) y_{k-1}``.
-    ``M`` must be a channel, as every map that
-    :mod:`zenolab.experiments` passes is, so the step contracts the trace
-    norm, and each of the ``n - k`` steps after step ``k`` moves the batch
+    ``M`` must be a channel, as every map that :mod:`zenolab.experiments`
+    passes is, so the step contracts the trace norm, and each of the ``n - k`` steps after step ``k`` moves the batch
     by at most ``r_k = sqrt(d) max_x ||y_k - y_{k-1}||_F``.  The iteration
     stops at the first ``k`` with ``(n - k) r_k <= _SETTLED``, or with
     ``r_k <= _ROUNDING`` and ``r_k >= r_{k-1}``, where the change has
@@ -723,6 +738,8 @@ def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) 
     construction.
     """
     x = _hermitian_batch(ops, "zeno_action")
+    if not isinstance(channel, (Attenuator, Superoperator)):
+        raise TypeError(f"zeno_action takes an Attenuator or a Superoperator as its channel, got {type(channel).__name__}")
     ns = [operator.index(n) for n in ns]
     if not ns or min(ns) < 1 or t <= 0:
         raise ValueError("zeno_action needs step counts n >= 1 and t > 0")
@@ -730,6 +747,8 @@ def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) 
     if generator.hamiltonian is not None and rate:
         raise ValueError("zeno_action takes a Hamiltonian or a dephasing rate, not both")
     s, d = x.shape[:2]
+    if channel.dim != d:
+        raise ValueError(f"channel of dimension {channel.dim} does not act on operators of dimension {d}")
     # the per-count factors of e^{tL/n}, each (K, 1, d, d), compacted as counts finish
     if generator.hamiltonian is not None:
         lam, v = np.linalg.eigh(generator.hamiltonian_on(d))
@@ -755,29 +774,13 @@ def zeno_action(ns, t: float, ops, channel, generator: Generator = Generator()) 
         def evolve(y, factor):
             return y * factor
 
-    if isinstance(channel, Superoperator):
-        if channel.dim != d:
-            raise ValueError(f"channel of dimension {channel.dim} does not act on operators of dimension {d}")
-        m_t = channel.matrix.T
-
-        def mix(y):
-            # row i of a count's product is vec(M y_i) read row-major, that is M(y_i)^T; one
-            # product per count, as a lone call makes (one state takes a gemv, more a gemm)
-            return (y.swapaxes(2, 3).reshape(len(y), s, d * d) @ m_t).reshape(y.shape).swapaxes(2, 3)
-
-    else:
-        plan = _attenuator_plan(channel, d)
-
-        def mix(y):
-            return _attenuator_apply(plan, y.reshape(-1, d, d), len(ns) * s).reshape(y.shape)
-
     root_d = float(np.sqrt(d))
     out = np.empty((len(ns), s, d, d), dtype=np.complex128)
     live = list(range(len(ns)))  # the counts still stepping, by their place in ns
     previous = [np.inf] * len(ns)
     x = np.repeat(x[None], len(ns), axis=0)
     for k in range(1, max(ns) + 1):
-        y = mix(evolve(x, *factors))
+        y = channel.act(evolve(x, *factors), len(ns) * s)
         changes = np.linalg.norm((y - x).reshape(len(live), s, -1), axis=2).max(axis=1).tolist()
         x = y
         done = []

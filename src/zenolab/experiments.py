@@ -21,12 +21,10 @@ import numpy as np
 
 from . import binomial as bn
 from .channels import (
+    Attenuator,
     Generator,
     Superoperator,
-    _attenuator_deviation,
     _hermitian_batch,
-    apply,
-    attenuator_check,
     damped_action,
     damping_substeps,
     zeno_action,
@@ -40,7 +38,7 @@ from .sampling import (
     random_operator,
     stream,
 )
-from .zeno import ZenoConfig, effective_dynamics, fit_log_envelope, fit_rate
+from .zeno import GappedChannel, effective_dynamics, fit_log_envelope, fit_rate
 
 __all__ = [
     "ConfigError",
@@ -581,8 +579,7 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
     def act(points, batch):
         # Phi^n is the channel at eta^n (semigroup property).  The polar form
         # keeps |eta^n| to about an ulp; ``eta**n`` squares its way to n/2 ulp.
-        etas = [cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta)) for n in points]
-        return np.stack([_attenuator_deviation(eta_n, batch) for eta_n in etas])
+        return np.stack([Attenuator(cmath.rect(abs(cfg.eta) ** n, n * cmath.phase(cfg.eta)), d).deviation(batch) for n in points])
 
     # attenuator_mixing_bound's 4 |eta|^n Tr((N + 1) rho), in its order, with Tr((N + 1) rho) once per state
     weights = {state_id: particle_number(rho) + float(np.trace(rho).real) for state_id, rho in states}
@@ -592,36 +589,21 @@ def _run_mixing(cfg: ExperimentConfig) -> list:
     ]
 
 
-def _vacuum_limits(states) -> np.ndarray:
-    """``|0><0| Tr x`` for each state: the limit ``e^{tPLP} P`` of the attenuator runs.
-
-    ``P x = |0><0| Tr x``, and every generator ``L`` of a run preserves the
-    trace, so ``P L P = Tr(L |0><0|) P = 0`` and the limit is ``P`` itself.
-    """
-    d = states[0][1].shape[0]
-    limits = np.zeros((len(states), d, d), dtype=np.complex128)
-    limits[:, 0, 0] = [np.trace(rho).real for _, rho in states]
-    return limits
+def _channel(cfg: ExperimentConfig, d: int):
+    """The zeno run's mixing map ``M`` on ``d`` levels, by ``channel.type``: the attenuator at ``eta`` or a random gapped channel."""
+    if cfg.channel_type == "gapped":
+        m, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
+        return GappedChannel(matrix=m.matrix, p=p)
+    return Attenuator(cfg.eta, d)
 
 
 def _run_zeno(cfg: ExperimentConfig) -> list:
-    # Each grid point iterates the step M exp(tL/n) on the states
-    # (zeno_action).  The attenuator's validate() and limit are closed forms;
-    # the gapped channel keeps ZenoConfig.validate() and exp(t PLP) P on its
-    # complex matrices, which are dropped before the sweep.
+    # Each grid point iterates the step M exp(tL/n) on the states (zeno_action).
     _, d = _state_dim(cfg)
     generator = _generator(cfg, d)
     states = build_states(cfg, d)
-    if cfg.channel_type == "attenuator":
-        attenuator_check(cfg.eta, states)
-        channel, limits = cfg.eta, _vacuum_limits(states)
-    else:
-        channel, p, _ = random_gapped_channel(d, stream(cfg.seed, _STREAM_CHANNEL), cfg.gapped_delta)
-        zcfg = ZenoConfig(m=channel, l=generator.superoperator(d), p=p, t=cfg.t, test_states=states)
-        zcfg.validate()
-        eff = effective_dynamics(p, zcfg.l, cfg.t)
-        limits = np.stack([apply(eff, rho) for _, rho in states])
-        del zcfg, p, eff
+    channel = _channel(cfg, d)
+    limits = channel.limit(states, generator, cfg.t)
 
     def act(points, batch):
         images = zeno_action(points, cfg.t, batch, channel, generator)
@@ -633,16 +615,14 @@ def _run_zeno(cfg: ExperimentConfig) -> list:
 
 
 def _run_damping(cfg: ExperimentConfig) -> list:
-    # Each grid point applies exp(t (gamma K + L)) to the states matrix-free
-    # (damped_action).  exp(sK) is the attenuator at eta = e^{-s}, so
-    # validate() checks that closed form at s = 0.1, 1 and 10, and the limit
-    # is |0><0| Tr x: no d^2 x d^2 matrix is built.
+    # Each grid point applies exp(t (gamma K + L)) to the states matrix-free (damped_action).
+    # exp(sK) is the attenuator at eta = e^{-s}, so its closed-form checks run at s = 0.1, 1
+    # and 10, and the limit is |0><0| Tr x: no d^2 x d^2 matrix is built.
     _, d = _state_dim(cfg)
     generator = _generator(cfg, d)
     states = build_states(cfg, d)
     for s in (0.1, 1.0, 10.0):
-        attenuator_check(math.exp(-s), states, f"exp({s} K)")
-    limits = _vacuum_limits(states)
+        limits = Attenuator(math.exp(-s), d).limit(states, label=f"exp({s} K)")
 
     def act(points, batch):
         images = np.stack([damped_action(gamma, cfg.t, batch, generator) for gamma in points])

@@ -1,19 +1,16 @@
 """Zeno configurations, effective dynamics, speed bounds and rate fitting.
 
 ``ZenoConfig`` holds the dense column-stacking matrices of a Zeno instance
-``(M exp(tL/n))^n`` and checks them in ``validate``; of the sweeps of
-:mod:`zenolab.experiments`, only the gapped zeno channel takes its checks
-and its limit ``exp(t PLP) P`` (:func:`effective_dynamics`) this way, with
-``L`` from :meth:`zenolab.channels.Generator.superoperator`.  For
-the attenuator the same checks are closed forms on its Kraus weights
-(:func:`zenolab.channels.attenuator_check`), and the limit is
-``|0><0| Tr x``, because every generator of a sweep preserves the trace.
-The sweeps apply their maps to the test states matrix-free:
-``(M exp(tL/n))^n`` by iterating the step
+``(M exp(tL/n))^n`` and checks them in ``validate``.  A zeno sweep's ``M``
+is a channel value whose ``limit`` checks it and returns ``exp(t PLP) P x``:
+:class:`GappedChannel` by ``validate`` and :func:`effective_dynamics`,
+:class:`zenolab.channels.Attenuator` by closed forms on its Kraus weights
+and ``|0><0| Tr x``.  The sweeps apply their maps matrix-free:
+``(M exp(tL/n))^n`` by iterating the channel's ``act``
 (:func:`zenolab.channels.zeno_action`) and ``exp(t(gamma K + L))`` by a
 contour integral (:func:`zenolab.channels.damped_action`), both reading
-``L`` from the same :class:`zenolab.channels.Generator`.  Convergence
-rates are fitted by log-log least squares.
+``L`` from one :class:`zenolab.channels.Generator`.  Convergence rates are
+fitted by log-log least squares.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from .linalg import as_matrix, matrix_exp
 
 __all__ = [
     "ZenoConfig",
+    "GappedChannel",
     "SpeedBound",
     "FitResult",
     "effective_dynamics",
@@ -93,6 +91,23 @@ class ZenoConfig:
         _check_hermiticity_preserving(M=self.m, L=self.l, P=self.p)
         _check_contractive(self.test_states, [apply(self.m, x) for _, x in self.test_states], "M")
         _check_projection_compat(self.m.matrix, self.p.matrix, "M")
+
+
+@dataclass(frozen=True)
+class GappedChannel(Superoperator):
+    """A dense channel ``M`` with the projection ``p`` onto its fixed points, such as :func:`zenolab.sampling.random_gapped_channel` draws."""
+
+    p: Superoperator
+
+    def limit(self, states, generator, t: float) -> np.ndarray:
+        """``exp(t PLP) P x`` for each ``(state_id, x)`` of ``states``, ``L`` from ``generator``, once :meth:`ZenoConfig.validate` passes.
+
+        A failed check raises ValueError naming ``M``, ``L`` or ``P``.
+        """
+        cfg = ZenoConfig(m=self, l=generator.superoperator(self.dim), p=self.p, t=t, test_states=states)
+        cfg.validate()
+        eff = effective_dynamics(self.p, cfg.l, t)
+        return np.stack([apply(eff, rho) for _, rho in states])
 
 
 def effective_dynamics(p: Superoperator, l: Superoperator, t: float) -> Superoperator:

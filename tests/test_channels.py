@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from zenolab import channels
 from zenolab.channels import (
+    Attenuator,
     Generator,
     KrausChannel,
     Superoperator,
@@ -30,7 +31,7 @@ from zenolab.experiments import PRESETS, _generator, build_states, parse_config_
 from zenolab.fock import annihilation, coherent_vector, number_operator, trace_distance, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
 from zenolab.sampling import random_density_matrix, random_gapped_channel, random_hermitian, stream
-from zenolab.zeno import ZenoConfig, effective_dynamics
+from zenolab.zeno import GappedChannel, ZenoConfig, effective_dynamics
 
 from dense_reference import damped_evolution, damped_evolution_sparse, transpose_superoperator, zeno_product
 
@@ -146,7 +147,7 @@ def test_attenuator_deviation_batch_and_contract():
     states = np.stack([rand_state(9), fock_projector(4, 9), rand_state(9, support=3)])
     batch = attenuator_deviation(0.6 - 0.2j, states)
     # the unchecked core the mixing sweep calls on a batch it has checked
-    assert np.array_equal(channels._attenuator_deviation(0.6 - 0.2j, states), batch)
+    assert np.array_equal(Attenuator(0.6 - 0.2j, 9).deviation(states), batch)
     for rho, dev in zip(states, batch):
         assert np.array_equal(attenuator_deviation(0.6 - 0.2j, rho[None])[0], dev)
         assert abs(np.trace(dev)) <= 1e-15  # trace preserving, minus a trace-preserving limit
@@ -321,7 +322,7 @@ def test_attenuator_deviation_requires_a_hermitian_batch():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_attenuator_weights_closed_forms(d, radius, angle, radius2, angle2, s, seed):
-    # what attenuator_check relies on: the Kraus operators K_l, entry (m, m+l)
+    # what Attenuator.limit relies on: the Kraus operators K_l, entry (m, m+l)
     # = w[m, l], sum to K^dag K = I (so the anti-diagonal sums of |w|^2 are 1)
     # with w[0, 0] = 1; Phi_{eta1} Phi_{eta2} = Phi_{eta1 eta2}; and at d <= 10
     # exp(sK) is the attenuator at e^{-s}
@@ -334,7 +335,7 @@ def test_attenuator_weights_closed_forms(d, radius, angle, radius2, angle2, s, s
         total += k.conj().T @ k
     assert np.abs(total - np.eye(d)).max() <= 1e-12
     states = damping_states(d, seed)
-    channels.attenuator_check(eta, list(zip("abc", states)))
+    Attenuator(eta, d).limit(list(zip("abc", states)))
     twice = attenuator_after(eta, attenuator_after(eta2, states))
     for x, y in zip(twice, attenuator_after(eta * eta2, states)):
         assert trace_norm(x - y) <= 1e-12
@@ -905,7 +906,7 @@ def test_zeno_action_matches_dense_reference(d, radius, angle, kind, scale, t, n
     m = to_superoperator(attenuator_kraus(eta, d))
     cfg = ZenoConfig(m=m, l=l, p=vacuum_projection_superop(d), t=t, test_states=())
     states = damping_states(d, seed)
-    assert_matches_dense_zeno(zeno_action([n], t, states, eta, generator)[0], states, cfg, n)
+    assert_matches_dense_zeno(zeno_action([n], t, states, Attenuator(eta, d), generator)[0], states, cfg, n)
 
 
 def steps_per_count(batch_sizes, states):
@@ -924,18 +925,24 @@ def steps_per_count(batch_sizes, states):
     ns=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=6, unique=True),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(d=3, kind="random", channel="gapped", scale=0.5, t=1.0, ns=[8, 64, 300], seed=0)
 def test_grouped_zeno_action_equals_a_call_per_count(d, kind, channel, scale, t, ns, seed):
     # stepping counts together must not change one bit of any image, nor the
     # step at which any count stops: at eta = 1j, which does not mix but
-    # turns the phases of the states, every count takes all its n steps
+    # turns the phases of the states, every count takes all its n steps.  A
+    # GappedChannel steps as the plain Superoperator of its matrix does
     generator, _ = generator_parts(kind, d, scale, seed)
-    m = {"real": 0.3 + 0.6 * scale, "complex": 0.4 + 0.3j, "one": 1j}.get(channel)
-    if m is None:
-        m, _, _ = random_gapped_channel(d, stream(seed, 1), 0.5)
+    eta = {"real": 0.3 + 0.6 * scale, "complex": 0.4 + 0.3j, "one": 1j}.get(channel)
+    if eta is None:
+        m, p, _ = random_gapped_channel(d, stream(seed, 1), 0.5)
+    else:
+        m = Attenuator(eta, d)
     states = damping_states(d, seed)
     with pytest.MonkeyPatch.context() as patch:
         calls = counted_attenuator_steps(patch)
         grouped = zeno_action(ns, t, states, m, generator)
+        if channel == "gapped":
+            assert np.array_equal(zeno_action(ns, t, states, GappedChannel(matrix=m.matrix, p=p), generator), grouped)
         taken = steps_per_count(calls, len(states))
         alone = []
         for n, images in zip(ns, grouped):
@@ -965,7 +972,7 @@ def test_zeno_action_takes_every_step_when_m_is_not_mixing(monkeypatch):
     cfg.validate()
     calls = counted_attenuator_steps(monkeypatch)
     ns = (8, 64, 512)
-    got = zeno_action(ns, 1.0, states, 1j, generator)
+    got = zeno_action(ns, 1.0, states, Attenuator(1j, d), generator)
     # one step over the whole group per step of its longest count: each count
     # stays in the batch, 3 states each, until its own n-th step
     assert calls == [9] * 8 + [6] * (64 - 8) + [3] * (512 - 64)
@@ -988,7 +995,7 @@ def test_zeno_action_settles_on_the_d24_benchmark_within_100_steps(monkeypatch):
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
     calls = counted_attenuator_steps(monkeypatch)
     channels._charge_layout.cache_clear()
-    zeno_action(cfg.grid(), cfg.t, states, cfg.eta, _generator(cfg, cfg.dimension))
+    zeno_action(cfg.grid(), cfg.t, states, Attenuator(cfg.eta, cfg.dimension), _generator(cfg, cfg.dimension))
     assert 0 < len(calls) <= 100
     # the kernel's gather and scatter indices are built once, for the whole group, however it shrinks
     assert channels._charge_layout.cache_info().misses == 1
@@ -1012,7 +1019,7 @@ def test_zeno_action_matches_phase_covariant_closed_form_at_d64():
     states = damping_states(d, 64)
     rotated = states * np.exp(-1j * t * s * np.subtract.outer(np.arange(d), np.arange(d)))
     ns = 8 * 2 ** np.arange(10)
-    grouped = zeno_action(ns, t, states, eta, Generator(hamiltonian=s * number_operator(d)))
+    grouped = zeno_action(ns, t, states, Attenuator(eta, d), Generator(hamiltonian=s * number_operator(d)))
     for n, got in zip(ns, grouped):
         expected = attenuator_after(cmath.rect(abs(eta) ** n, n * cmath.phase(eta)), rotated)
         for g, e in zip(got, expected):
@@ -1025,27 +1032,33 @@ def test_zeno_action_contract():
     a = annihilation(d)
     h = 0.2 * (a + a.conj().T)
     generator = Generator(hamiltonian=h)
-    (batch,) = zeno_action([16], 0.5, states, 0.6, generator)
+    m = Attenuator(0.6, d)
+    (batch,) = zeno_action([16], 0.5, states, m, generator)
     assert batch.shape == states.shape
     for x, y in zip(states, batch):
         assert np.array_equal(y, y.conj().T)  # Hermitian by construction
-        alone = zeno_action([16], 0.5, x[None], 0.6, generator)[0, 0]
+        alone = zeno_action([16], 0.5, x[None], m, generator)[0, 0]
         # the batch may stop later than a state alone, never before its bound
         assert trace_norm(alone - y) <= 1e-13
     # the superoperator of the same channel gives the same images
-    m = to_superoperator(attenuator_kraus(0.6, d))
-    assert np.abs(zeno_action([16], 0.5, states, m, generator)[0] - batch).max() <= 1e-14
+    dense = to_superoperator(attenuator_kraus(0.6, d))
+    assert np.abs(zeno_action([16], 0.5, states, dense, generator)[0] - batch).max() <= 1e-14
     for bad in (
-        lambda: zeno_action([16], 0.5, states[0], 0.6),  # a single matrix is not a batch
-        lambda: zeno_action([16], 0.5, states + 1j * np.eye(d), 0.6),  # not Hermitian
-        lambda: zeno_action([0], 0.5, states, 0.6),
-        lambda: zeno_action([16, 0], 0.5, states, 0.6),
-        lambda: zeno_action([], 0.5, states, 0.6),
-        lambda: zeno_action([16], 0.0, states, 0.6),
-        lambda: zeno_action([16], 0.5, states, 1.2),
-        lambda: zeno_action([16], 0.5, states, 0.6, Generator(hamiltonian=np.eye(d + 1))),
-        lambda: zeno_action([16], 0.5, states, 0.6, Generator(hamiltonian=h, dephasing_rate=0.1)),
+        lambda: zeno_action([16], 0.5, states[0], m),  # a single matrix is not a batch
+        lambda: zeno_action([16], 0.5, states + 1j * np.eye(d), m),  # not Hermitian
+        lambda: zeno_action([0], 0.5, states, m),
+        lambda: zeno_action([16, 0], 0.5, states, m),
+        lambda: zeno_action([], 0.5, states, m),
+        lambda: zeno_action([16], 0.0, states, m),
+        lambda: Attenuator(1.2, d),
+        lambda: zeno_action([16], 0.5, states, m, Generator(hamiltonian=np.eye(d + 1))),
+        lambda: zeno_action([16], 0.5, states, m, Generator(hamiltonian=h, dephasing_rate=0.1)),
         lambda: zeno_action([16], 0.5, states, to_superoperator(attenuator_kraus(0.6, d + 1))),
+        lambda: zeno_action([16], 0.5, states, Attenuator(0.6, d + 1)),
+        lambda: Attenuator(0.6, d + 1).limit([("x", states[0])]),
     ):
         with pytest.raises(ValueError):
             bad()
+    # a bare eta is not a channel value
+    with pytest.raises(TypeError, match="Attenuator or a Superoperator"):
+        zeno_action([16], 0.5, states, 0.6)

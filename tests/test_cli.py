@@ -136,7 +136,7 @@ def test_defective_attenuator_weights_exit_3(tmp_path, capsys, monkeypatch, kind
     assert main(["--out", str(tmp_path), "run", str(path)]) == 3
     assert f"invariant violation: {kind}: P {label} != P within 1e-9" in capsys.readouterr().err
     monkeypatch.setattr(channels, "_attenuator_weights", weights)
-    monkeypatch.setattr(channels, "_attenuator_apply", lambda products, x: 1.1 * apply_once(products, x))
+    monkeypatch.setattr(channels, "_attenuator_apply", lambda plan, x, capacity=0: 1.1 * apply_once(plan, x, capacity))
     assert main(["--out", str(tmp_path), "run", str(path)]) == 3
     assert f"invariant violation: {kind}: {label} is not trace-norm contractive on state 'fock:1'" in capsys.readouterr().err
     assert not (tmp_path / "cli-mixing.csv").exists()
@@ -320,7 +320,7 @@ def test_non_hermitian_mixing_state_exits_3_before_its_first_grid_point(tmp_path
         raise AssertionError("a grid point ran")
 
     monkeypatch.setattr(experiments, "build_states", skewed)
-    monkeypatch.setattr(experiments, "_attenuator_deviation", refuse)
+    monkeypatch.setattr(channels.Attenuator, "deviation", refuse)
     path = tmp_path / "mix.ini"
     path.write_text(GOOD)
     assert main(["--out", str(tmp_path), "run", str(path)]) == 3

@@ -736,6 +736,25 @@ def test_damping_substep_estimate_bounds_the_kernel(monkeypatch, kind, d):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("name, plans", [("zeno-d24", 1), ("damping-d24", 3), ("mixing-d32", 7)])
+def test_each_attenuator_value_builds_its_plan_once(monkeypatch, name, plans):
+    # an Attenuator builds its Toeplitz plan on first use and keeps it: a
+    # zeno run checks and steps one value over all its sweep groups, a
+    # damping run checks three (s = 0.1, 1 and 10), and a mixing run steps
+    # one per grid point
+    built = []
+    plan = channels._attenuator_plan
+
+    def counted(eta, d):
+        built.append(eta)
+        return plan(eta, d)
+
+    monkeypatch.setattr(channels, "_attenuator_plan", counted)
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    run_experiment(experiments.parse_config(str(bench / f"{name}.ini")))
+    assert len(built) == plans
+
+
 def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):
     # eta = 1 does not mix, so zeno_action takes all n steps at every grid
     # point; with the budget one below those steps the parser refuses the run
@@ -753,7 +772,7 @@ def test_zeno_step_estimate_bounds_the_kernel(monkeypatch):
     states = np.stack([rho for _, rho in build_states(cfg, cfg.dimension)])
     # one call for the grid, as the sweep makes it: with one state, each
     # step's batch holds one state per count still stepping
-    zeno_action(cfg.grid(), cfg.t, states, cfg.eta, generator)
+    zeno_action(cfg.grid(), cfg.t, states, channels.Attenuator(cfg.eta, cfg.dimension), generator)
     assert len(steps) == max(cfg.grid()) and sum(steps) == sum(cfg.grid())
     monkeypatch.setattr(experiments, "_STEP_BUDGET", sum(steps) - 1)
     with pytest.raises(ConfigError) as err:

@@ -18,3 +18,11 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_channel_values_are_exported():
+    # the two cases of the Zeno sweep's mixing map, from the package and their modules
+    from zenolab import channels, zeno
+
+    assert zenolab.Attenuator is channels.Attenuator and "Attenuator" in channels.__all__
+    assert zenolab.GappedChannel is zeno.GappedChannel and "GappedChannel" in zeno.__all__

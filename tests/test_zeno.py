@@ -16,7 +16,9 @@ from zenolab.channels import (
 from zenolab.experiments import generator_norm, parse_config_text
 from zenolab.fock import annihilation, coherent_vector, vacuum_state
 from zenolab.linalg import devectorize, matrix_exp, trace_norm, vectorize
+from zenolab.sampling import random_gapped_channel, stream
 from zenolab.zeno import (
+    GappedChannel,
     ZenoConfig,
     constant_big_n,
     effective_dynamics,
@@ -245,6 +247,12 @@ def test_config_validation_catches_bad_projection():
     cfg = ZenoConfig(m=m, l=bad_p, p=bad_p, t=1.0, test_states=())
     with pytest.raises(ValueError):
         cfg.validate()
+    # a gapped channel's limit runs the same check: the vacuum projection is
+    # idempotent, but the gapped M moves |0><0|
+    gapped, _, _ = random_gapped_channel(3, stream(7, 1), 0.5)
+    channel = GappedChannel(matrix=gapped.matrix, p=vacuum_projection_superop(3))
+    with pytest.raises(ValueError, match="M P != P"):
+        channel.limit([("vacuum", vacuum_state(3))], Generator(), 1.0)
 
 
 def test_config_validation_catches_expansion():
