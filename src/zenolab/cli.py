@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from functools import cache
 
 from .experiments import (
@@ -68,14 +69,20 @@ def main(argv=None) -> int:
         # run
         cfg = _resolve_config(args.config)
         if args.seed is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        # output.path, or <experiment.id>.csv, under --out; either may hold directories, made before the run
+        field = "output.path" if cfg.output_path else "experiment.id"
+        out_path = os.path.join(args.out, cfg.output_path or f"{cfg.experiment_id}.csv")
+        for owner, directory in (("--out", args.out), (field, os.path.dirname(out_path))):
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(owner, f"cannot make directory {directory!r}: {exc}") from exc
         rows = run_experiment(cfg)
-        out_name = cfg.output_path or f"{cfg.experiment_id}.csv"
-        out_path = os.path.join(args.out, out_name)
-        write_csv(rows, out_path)
+        try:
+            write_csv(rows, out_path)
+        except OSError as exc:
+            raise ConfigError(field, f"cannot write {out_path!r}: {exc}") from exc
         fits = sorted(
             {(r.state_id, r.fitted_c, r.fitted_p) for r in rows if r.fitted_p is not None}
         )

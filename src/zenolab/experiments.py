@@ -249,7 +249,8 @@ _KEYS = (
     ("grid", "factor", _EVERY, "grid_factor", float, 2.0, None, None),
     ("grid", "count", _EVERY, "grid_count", int, 10,
      lambda v: 1 <= v <= _GRID_POINTS, f"must lie in [1, {_GRID_POINTS}], got {{v}}"),
-    ("states", "specs", _STATES, "state_specs", _specs, ("fock:1",), lambda v: v, "must list at least one state"),
+    ("states", "specs", _STATES, "state_specs", _specs, ("fock:1",),
+     lambda v: v and len(set(v)) == len(v), "must list at least one state, each once, got {v}"),
     ("tolerances", "tail_mass", _STATES, "tail_budget", float, 1e-12, lambda v: v > 0, "must be positive"),
     ("output", "path", _EVERY, "output_path", str, None, None, None),
 )
@@ -385,7 +386,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from exc
     return parse_config_text(text)
 
@@ -600,8 +601,8 @@ def _channel(cfg: ExperimentConfig, d: int):
 def _run_zeno(cfg: ExperimentConfig) -> list:
     # Each grid point iterates the step M exp(tL/n) on the states (zeno_action).
     _, d = _state_dim(cfg)
-    generator = _generator(cfg, d)
     states = build_states(cfg, d)
+    generator = _generator(cfg, d)
     channel = _channel(cfg, d)
     limits = channel.limit(states, generator, cfg.t)
 
@@ -619,8 +620,8 @@ def _run_damping(cfg: ExperimentConfig) -> list:
     # exp(sK) is the attenuator at eta = e^{-s}, so its closed-form checks run at s = 0.1, 1
     # and 10, and the limit is |0><0| Tr x: no d^2 x d^2 matrix is built.
     _, d = _state_dim(cfg)
-    generator = _generator(cfg, d)
     states = build_states(cfg, d)
+    generator = _generator(cfg, d)
     for s in (0.1, 1.0, 10.0):
         limits = Attenuator(math.exp(-s), d).limit(states, label=f"exp({s} K)")
 
@@ -636,6 +637,7 @@ def _run_damping(cfg: ExperimentConfig) -> list:
 def _run_binomial(cfg: ExperimentConfig) -> list:
     # The target is the limit e^{PLP} P: with M = P = I it is e^L.
     _, s = _state_dim(cfg)
+    states = build_states(cfg, s)
     if cfg.binomial_mode == "exp-limit":
         m = p = Superoperator(matrix=np.eye(s * s, dtype=np.complex128))
         norm, fit_model = 0.9, "pure_power"
@@ -644,7 +646,6 @@ def _run_binomial(cfg: ExperimentConfig) -> list:
         norm, fit_model = 0.5, "power_log"
     l_mat = random_operator(s * s, stream(cfg.seed, _STREAM_BINOMIAL), norm=norm)
     target = effective_dynamics(p, Superoperator(matrix=l_mat), 1.0).matrix
-    states = build_states(cfg, s)
 
     def act(points, batch):
         images = []

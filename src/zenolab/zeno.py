@@ -34,8 +34,6 @@ __all__ = [
     "fit_log_envelope",
 ]
 
-SSUP_L_MAX = 12
-
 
 def _check_projection_compat(m_mat, p_mat, what: str):
     if np.linalg.norm(p_mat @ p_mat - p_mat) > 1e-9:
@@ -128,51 +126,21 @@ def constant_big_n(n: int, delta: float, length: int) -> list:
 class SpeedBound:
     value: float
     argmax_l: int
-    attained_inside_truncation: bool
 
 
-def _lookup_decreasing(table, n: int) -> float:
-    """Value of a grid-sup mixing table at the largest grid point <= n.
+def theoretical_zeno_bound_ssup(s_values, l_norm: float, t: float, n: int, big_n, x_norm: float) -> SpeedBound:
+    """Evaluate sup_l ( ||tL||^{-l+1} s_{N_l}(chain_l) + N_l/n ||x|| ) over the whole chain.
 
-    The table is monotone nonincreasing, so this is a safe upper bound for
-    s_n; queries below the grid clamp to the first entry.
-    """
-    best = table[0][1]
-    for grid_n, value in table:
-        if grid_n <= n:
-            best = value
-        else:
-            break
-    return best
-
-
-def theoretical_zeno_bound_ssup(
-    s_tables,
-    l_norm: float,
-    t: float,
-    n: int,
-    big_n,
-    x_norm: float,
-    l_max: int = SSUP_L_MAX,
-) -> SpeedBound:
-    """Evaluate sup_l ( ||tL||^{-l+1} s_{N_l}(chain_l) + N_l/n ||x|| ).
-
-    ``s_tables[l-1]`` is a nonincreasing mixing table ``[(N, s_N), ...]``
-    for the chain state (tLP)^{l-1} x; ``demos/speed_bounds.py`` builds the
-    attenuator's exactly.  The supremum over l is truncated at ``l_max``;
-    the report records whether the max was attained strictly inside the
-    truncation.
+    ``s_values[l-1]`` is the exact mixing speed ``||(M^{N_l} - P) y||_1`` of
+    the chain state ``y = (tLP)^{l-1} x`` at ``N_l = big_n[l-1]``;
+    ``demos/speed_bounds.py`` evaluates the attenuator's.
     """
     big_n = [int(v) for v in big_n]
-    l_max = min(l_max, len(big_n))
-    if l_max > len(s_tables):
-        raise ValueError(
-            f"sup truncated at l_max={l_max} but only {len(s_tables)} chain tables supplied"
-        )
+    if len(s_values) != len(big_n):
+        raise ValueError(f"{len(s_values)} chain speeds for {len(big_n)} cutoffs N_l")
     tl_norm = t * l_norm
     terms = []
-    for l in range(1, l_max + 1):
-        s_val = _lookup_decreasing(s_tables[l - 1], big_n[l - 1])
+    for l, (s_val, cutoff) in enumerate(zip(s_values, big_n), start=1):
         if l == 1:
             weighted = s_val
         elif tl_norm > 0:
@@ -181,13 +149,8 @@ def theoretical_zeno_bound_ssup(
             weighted = 0.0  # L = 0 kills every chain state past the first
         else:
             raise ValueError("||tL|| is zero but a chain state still mixes")
-        terms.append(weighted + big_n[l - 1] / n * x_norm)
-    argmax = int(np.argmax(terms)) + 1
-    return SpeedBound(
-        value=float(max(terms)),
-        argmax_l=argmax,
-        attained_inside_truncation=argmax < l_max,
-    )
+        terms.append(weighted + cutoff / n * x_norm)
+    return SpeedBound(value=float(max(terms)), argmax_l=int(np.argmax(terms)) + 1)
 
 
 @dataclass(frozen=True)

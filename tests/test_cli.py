@@ -86,13 +86,77 @@ def test_invariant_violation_exit_code(tmp_path, capsys):
         assert not (tmp_path / "cli-mixing.csv").exists()
 
 
-@pytest.mark.parametrize("spec", ["coherent:1e200", "random:-999"])
+@pytest.mark.parametrize("spec", ["coherent:1e200", "random:-999", "fock:1"])
 def test_bad_state_spec_exits_2(tmp_path, capsys, spec):
+    # fock:1 lists fock:1 twice, which would write every row twice
     bad = tmp_path / "spec.ini"
     bad.write_text(GOOD.replace("random:0", spec))
     assert main(["--out", str(tmp_path), "run", str(bad)]) == 2
     assert "config error: states.specs:" in capsys.readouterr().err
     assert not (tmp_path / "cli-mixing.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[experiment]\nkind = binomial\n[binomial]\nsystem_dim = 12\n[states]\nspecs = banana:1\n",
+        "[experiment]\nkind = zeno\ndimension = 16\n[states]\nspecs = fock:99\n",
+        "[experiment]\nkind = damping\ndimension = 16\n[states]\nspecs = fock:99\n",
+    ],
+    ids=["binomial", "zeno", "damping"],
+)
+def test_bad_state_spec_exits_2_before_any_map_is_built(tmp_path, capsys, monkeypatch, text):
+    # a run builds its states before its generator or its limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map was built before the states")
+
+    monkeypatch.setattr(experiments, "effective_dynamics", refuse)
+    monkeypatch.setattr(experiments, "_generator", refuse)
+    path = tmp_path / "spec.ini"
+    path.write_text(text)
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    assert "config error: states.specs:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(GOOD.replace("id = cli-mixing", "id = caf\xe9").encode("latin-1"))
+    assert main(["--out", str(tmp_path), "run", str(path)]) == 2
+    assert f"config error: config: cannot read {str(path)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, out, written, field",
+    [
+        ("id = sub/dir\n", "out", "out/sub/dir.csv", None),
+        ("[output]\npath = nodir/x.csv\n", "out", "out/nodir/x.csv", None),
+        ("", "taken", None, "--out"),
+        ("", "", None, "--out"),
+        ("[output]\npath = folder/\n", "out", None, "output.path"),
+    ],
+    ids=["nested-id", "nested-path", "out-is-a-file", "empty-out", "path-is-a-directory"],
+)
+def test_output_location_is_made_before_the_run_or_exits_2(tmp_path, capsys, monkeypatch, setting, out, written, field):
+    # the CSV's directories are made before the run, so a nested id or
+    # output.path works as a nested --out does; a directory that cannot be
+    # made ends with exit 2 naming --out before the run, and a CSV that
+    # cannot be written with exit 2 naming the key that chose its name
+    calls = []
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg) or run(cfg))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    path = tmp_path / "run.ini"
+    path.write_text("[experiment]\nkind = simplex\n" + setting)
+    code = main(["--out", out, "run", str(path)])
+    if field is None:
+        assert code == 0 and (tmp_path / written).is_file()
+    else:
+        assert code == 2
+        assert f"config error: {field}: cannot " in capsys.readouterr().err
+        assert len(calls) == (0 if field == "--out" else 1)
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_unknown_config_exit_code(tmp_path):

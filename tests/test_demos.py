@@ -56,6 +56,6 @@ def test_speed_bounds_demo_prints_the_exact_norm_and_a_dominating_core(capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     (norm,) = [fields[-1] for fields in lines if fields[:1] == ["||L||"]]
     assert float(norm) == generator_norm(namespace["sweep"])
-    ratios = [float(fields[3]) for fields in lines if len(fields) == 6 and fields[0].isdigit()]
+    ratios = [float(fields[3]) for fields in lines if len(fields) == 5 and fields[0].isdigit()]
     assert len(ratios) == 4
     assert all(ratio < 1 for ratio in ratios)
